@@ -1,20 +1,5 @@
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup, Extension
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None and os.path.exists("src/indmatch/_fastcore.pyx"):
-    ext_modules = cythonize(
-        [Extension("indmatch._fastcore", ["src/indmatch/_fastcore.pyx"])],
-        language_level=3,
-    )
-else:
-    # The package works without the compiled core; the pure-Python
-    # implementation is selected at import time.
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package installs pure Python and
+# `indmatch.native_available()` reports False.
+setup(ext_modules=[Extension("indmatch._fastcore", ["src/indmatch/_fastcore.c"], optional=True)])

@@ -1,15 +1,15 @@
 """Enumeration of induced matchings, with a constant-amortized-time
 multi-way partition algorithm for C4-free graphs.
 
-The hot enumeration kernels have a compiled (Cython) implementation in
-`indmatch._fastcore`; when it is not built, a pure-Python twin is used.
-`indmatch.enumerate.native_available()` reports which one is active, and
-the `INDMATCH_BACKEND` environment variable (auto|python|native) or
-`EnumConfig.backend` pins a choice.
+The hot enumeration kernels have a native implementation in
+`indmatch._fastcore`, plain C compiled by `setup.py`; when it is not
+built, a pure-Python twin is used.  `native_available()` reports which
+one is active, and `EnumConfig.backend` (auto|python|native) pins a
+choice.
 """
 
 from .analysis import GenSpec, generate, girth, is_c4_free
-from .degree_index import DegreeIndex, build_index
+from .degree_index import DegreeIndex
 from .edgelist import parse_edge_list, serialize_edge_list, solution_line
 from .enumerate import (
     CountingSink,
@@ -22,13 +22,8 @@ from .enumerate import (
     enumerate_solutions,
     native_available,
 )
-from .graph import (
-    DynamicGraph,
-    build_graph,
-    edge_distance_at_most,
-    is_induced_matching,
-)
-from .neighborhood import Classifier, check_c4free_local, classify, sect2
+from .graph import DynamicGraph, build_graph, is_induced_matching
+from .neighborhood import Classifier, check_c4free_local, sect2
 from .stats import BenchRow, EnumStats, bench, enumerate_with_stats, rows_to_csv
 
 __version__ = "0.1.0"
@@ -45,11 +40,8 @@ __all__ = [
     "ListSink",
     "bench",
     "build_graph",
-    "build_index",
     "check_c4free_local",
-    "classify",
     "count_induced_matchings",
-    "edge_distance_at_most",
     "enumerate_brute",
     "enumerate_c4free",
     "enumerate_general",

@@ -44,8 +44,6 @@ def is_c4_free(g: DynamicGraph) -> bool:
     """
     paths = [0] * g.n
     for v in range(g.n):
-        if not g.alive_vertex[v]:
-            continue
         touched = []
         ok = True
         for _, u in g.iter_incident(v):
@@ -77,8 +75,6 @@ def girth(g: DynamicGraph) -> Optional[int]:
     best: Optional[int] = None
     dist = [-1] * g.n
     for s in range(g.n):
-        if not g.alive_vertex[s]:
-            continue
         for i in range(g.n):
             dist[i] = -1
         dist[s] = 0

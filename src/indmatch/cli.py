@@ -7,7 +7,7 @@ import sys
 from typing import Optional
 
 from . import analysis, edgelist, stats
-from .enumerate import EnumConfig, enumerate_solutions, resolve_algorithm
+from .enumerate import CountingSink, EnumConfig, enumerate_solutions
 from .errors import IndmatchError, NotC4Free, ParseError, TooLargeForOracle
 
 EXIT_OK = 0
@@ -36,10 +36,7 @@ def cmd_enumerate(args) -> int:
     )
     out = sys.stdout
     if args.count_only:
-
-        def sink(solution):
-            return True
-
+        sink = CountingSink()
     else:
 
         def sink(solution):
@@ -57,6 +54,13 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         out.write(f"{total}\n")
     return EXIT_OK
+
+
+def _cutoff(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"cutoff must be at least 1, got {value}")
+    return value
 
 
 def cmd_check(args) -> int:
@@ -135,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("enumerate", help="stream all induced matchings of an edge-list file")
     pe.add_argument("input")
     pe.add_argument("--algo", choices=["auto", "brute", "general", "c4free"], default="auto")
-    pe.add_argument("--cutoff", type=int, default=None)
+    pe.add_argument("--cutoff", type=_cutoff, default=None)
     pe.add_argument("--count-only", action="store_true")
     pe.add_argument("--assert", dest="assert_mode", action="store_true",
                     help="run per-iteration structural checks (python backend)")
@@ -157,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="run the benchmark harness, write CSV")
     pb.add_argument("--spec-file", required=True)
     pb.add_argument("--algos", default="c4free")
-    pb.add_argument("--cutoff", type=int, default=None)
+    pb.add_argument("--cutoff", type=_cutoff, default=None)
     pb.add_argument("--repeats", type=int, default=3)
     pb.add_argument("--backend", choices=["auto", "python", "native"], default="auto")
     pb.add_argument("output")

@@ -1,6 +1,6 @@
 """Bucket index of vertices by current degree with O(1) max extraction.
 
-Bucket i holds exactly the alive vertices of degree i, each bucket a
+Bucket i holds exactly the vertices of degree i, each bucket a
 doubly-linked list.  The pivot query reads the tail of the highest
 nonempty bucket, so ties go to the most recently inserted vertex and
 enumeration order is deterministic.
@@ -33,8 +33,7 @@ class DegreeIndex:
         self.bucket = [-1] * g.n
         self.max_nonempty = -1
         for v in range(g.n):
-            if g.alive_vertex[v]:
-                self._insert(v, g.degree[v])
+            self._insert(v, g.degree[v])
         g.listener = self
 
     # -- linked-list plumbing -----------------------------------------
@@ -76,12 +75,6 @@ class DegreeIndex:
         self._unlink(v, scan=new < old)
         self._insert(v, new)
 
-    def on_vertex_dead(self, v: int) -> None:
-        self._unlink(v)
-
-    def on_vertex_alive(self, v: int) -> None:
-        self._insert(v, self.g.degree[v])
-
     # -- queries ------------------------------------------------------
 
     def max_degree_vertex(self) -> Optional[int]:
@@ -98,19 +91,12 @@ class DegreeIndex:
             v = self.bhead[d]
             prev = -1
             while v != -1:
-                assert g.alive_vertex[v], (v, d)
                 assert g.degree[v] == d, (v, d, g.degree[v])
                 assert self.bprv[v] == prev
                 assert self.bucket[v] == d
                 seen.add(v)
                 prev, v = v, self.bnxt[v]
             assert self.btail[d] == prev
-        alive = {v for v in range(g.n) if g.alive_vertex[v]}
-        assert seen == alive
+        assert seen == set(range(g.n))
         tops = [d for d in range(self.cap + 1) if self.bhead[d] != -1]
         assert self.max_nonempty == (max(tops) if tops else -1)
-
-
-def build_index(g: DynamicGraph) -> DegreeIndex:
-    """Bucket-sort the alive vertices of g and attach the index to it."""
-    return DegreeIndex(g)

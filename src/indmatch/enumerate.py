@@ -12,20 +12,24 @@
 A sink is any callable receiving one solution (a tuple of edge ids);
 returning False stops the enumeration before the next solution.
 
-When the compiled core (`indmatch._fastcore`) is importable, the two
-partition engines dispatch to it unless assertion mode is on or the
-configuration pins the pure-Python backend.
+When the native kernel (`indmatch._fastcore`, plain C compiled by
+`setup.py`) is importable, the two partition engines dispatch to it
+unless assertion mode is on or the configuration pins the pure-Python
+backend.
+
+A solution cutoff is the smaller of `EnumConfig.solution_cutoff` and a
+`CountingSink`'s own `cutoff`; it must be at least 1.  Every engine
+stops after delivering that many solutions.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .degree_index import DegreeIndex
-from .errors import CountOverflow, NotC4Free, TooLargeForOracle
+from .errors import NotC4Free, TooLargeForOracle
 from .graph import DynamicGraph
 from .neighborhood import Classifier, check_c4free_local, sect2
 
@@ -36,18 +40,9 @@ except ImportError:  # pure-Python fallback only
 
 Sink = Callable[[tuple], object]
 
-_MAX_COUNT = 2**63 - 1
-
 
 def native_available() -> bool:
     return _fastcore is not None
-
-
-def default_backend() -> str:
-    env = os.environ.get("INDMATCH_BACKEND", "auto")
-    if env not in ("auto", "python", "native"):
-        raise ValueError(f"INDMATCH_BACKEND must be auto|python|native, got {env!r}")
-    return env
 
 
 @dataclass
@@ -59,7 +54,12 @@ class EnumConfig:
 
 
 class CountingSink:
-    """Counts solutions; stops the enumeration after `cutoff` of them."""
+    """Counts solutions; the enumeration stops after `cutoff` of them.
+
+    The engines apply the cutoff and set `cutoff_applied` when it was
+    reached; the native kernel counts a CountingSink's solutions itself,
+    with no per-solution call.
+    """
 
     __slots__ = ("count", "cutoff", "cutoff_applied")
 
@@ -70,9 +70,6 @@ class CountingSink:
 
     def __call__(self, solution) -> object:
         self.count += 1
-        if self.cutoff is not None and self.count >= self.cutoff:
-            self.cutoff_applied = True
-            return False
         return True
 
 
@@ -87,21 +84,6 @@ class ListSink:
     def __call__(self, solution) -> object:
         self.solutions.append(solution)
         return True
-
-
-class _Limiter:
-    __slots__ = ("sink", "left")
-
-    def __init__(self, sink, limit):
-        self.sink = sink
-        self.left = limit
-
-    def __call__(self, solution):
-        r = self.sink(solution)
-        self.left -= 1
-        if self.left <= 0:
-            return False
-        return r
 
 
 def resolve_algorithm(g: DynamicGraph, config: Optional[EnumConfig]) -> str:
@@ -124,6 +106,10 @@ def enumerate_brute(g: DynamicGraph, sink: Sink) -> int:
     only on pairwise edge compatibility, so this stays an independent
     oracle for the partition enumerators.  Guarded to |E| <= 25.
     """
+    return _run(g, sink, None, "brute")
+
+
+def _run_brute(g: DynamicGraph, sink: Sink, cutoff: Optional[int]) -> int:
     live = g.live_edges()
     k = len(live)
     if k > 25:
@@ -143,7 +129,7 @@ def enumerate_brute(g: DynamicGraph, sink: Sink) -> int:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
     count = 1
-    if sink(()) is False:
+    if sink(()) is False or count == cutoff:
         return count
     valid = bytearray(1 << k)
     valid[0] = 1
@@ -154,7 +140,7 @@ def enumerate_brute(g: DynamicGraph, sink: Sink) -> int:
             valid[s] = 1
             count += 1
             sol = tuple(live[i] for i in range(k) if (s >> i) & 1)
-            if sink(sol) is False:
+            if sink(sol) is False or count == cutoff:
                 break
     return count
 
@@ -166,11 +152,12 @@ def enumerate_brute(g: DynamicGraph, sink: Sink) -> int:
 class _PartitionRun:
     """State of one partition enumeration over a borrowed graph."""
 
-    def __init__(self, g: DynamicGraph, sink: Sink, assertion_mode: bool, stats):
+    def __init__(self, g: DynamicGraph, sink: Sink, cutoff: Optional[int], assertion_mode: bool, stats):
         self.g = g
         self.idx = DegreeIndex(g)
         self.cls = Classifier(g)
         self.sink = sink
+        self.cutoff = cutoff
         self.assertion_mode = assertion_mode
         self.stats = stats
         self.stopped = False
@@ -188,7 +175,7 @@ class _PartitionRun:
         st = self.stats
         if st is not None:
             st.solutions += 1
-        if self.sink(tuple(matching)) is False:
+        if self.sink(tuple(matching)) is False or self.solutions == self.cutoff:
             self.stopped = True
 
     def enter(self) -> bool:
@@ -347,9 +334,9 @@ class _PartitionRun:
         self.rollback(m1)
 
 
-def _run_python(g, sink, algo, assertion_mode, stats) -> int:
+def _run_python(g, sink, algo, cutoff, assertion_mode, stats) -> int:
     prev_listener = g.listener
-    run = _PartitionRun(g, sink, assertion_mode, stats)
+    run = _PartitionRun(g, sink, cutoff, assertion_mode, stats)
     limit = 3 * g.m + 1000
     if sys.getrecursionlimit() < limit:
         sys.setrecursionlimit(limit)
@@ -368,15 +355,11 @@ def _run_python(g, sink, algo, assertion_mode, stats) -> int:
 
 
 def _run_native(g, sink, algo, cutoff, stats) -> int:
-    if isinstance(sink, CountingSink):
-        kcut = sink.cutoff if cutoff is None else min(cutoff, sink.cutoff or cutoff)
-        res = _fastcore.run(g.n, g.eu, g.ev, bytes(g.alive_edge), algo, kcut or 0, None)
+    counting = isinstance(sink, CountingSink)
+    res = _fastcore.run(g.n, g.eu, g.ev, bytes(g.alive_edge), algo, cutoff or 0,
+                        None if counting else sink)
+    if counting:
         sink.count += res["solutions"]
-        if kcut and res["solutions"] >= kcut:
-            sink.cutoff_applied = True
-    else:
-        emit = sink if cutoff is None else _Limiter(sink, cutoff)
-        res = _fastcore.run(g.n, g.eu, g.ev, bytes(g.alive_edge), algo, 0, emit)
     if stats is not None:
         stats.solutions += res["solutions"]
         stats.iterations += res["iterations"]
@@ -392,18 +375,26 @@ def _run_native(g, sink, algo, cutoff, stats) -> int:
 def _run(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig], algo: str, stats=None) -> int:
     config = config or EnumConfig()
     cutoff = config.solution_cutoff
-    backend = config.backend if config.backend != "auto" else default_backend()
+    if isinstance(sink, CountingSink) and sink.cutoff is not None:
+        cutoff = sink.cutoff if cutoff is None else min(cutoff, sink.cutoff)
+    if cutoff is not None and cutoff < 1:
+        raise ValueError(f"solution cutoff must be at least 1, got {cutoff}")
+    backend = config.backend
     if backend == "auto":
         backend = "native" if (_fastcore is not None and not config.assertion_mode) else "python"
-    if backend == "native":
+    if algo == "brute":
+        count = _run_brute(g, sink, cutoff)
+    elif backend == "native":
         if _fastcore is None:
             raise RuntimeError("native backend requested but indmatch._fastcore is not built")
         if config.assertion_mode:
             raise RuntimeError("assertion mode requires the python backend")
-        return _run_native(g, sink, algo, cutoff, stats)
-    if cutoff is not None and not (isinstance(sink, CountingSink) and sink.cutoff is not None):
-        sink = _Limiter(sink, cutoff)
-    return _run_python(g, sink, algo, config.assertion_mode, stats)
+        count = _run_native(g, sink, algo, cutoff, stats)
+    else:
+        count = _run_python(g, sink, algo, cutoff, config.assertion_mode, stats)
+    if isinstance(sink, CountingSink):
+        sink.cutoff_applied = cutoff is not None and count >= cutoff
+    return count
 
 
 def enumerate_general(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig] = None) -> int:
@@ -418,19 +409,11 @@ def enumerate_c4free(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig] =
 
 def enumerate_solutions(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig] = None, stats=None) -> int:
     """Run the configured engine (resolving `auto`) against `sink`."""
-    config = config or EnumConfig()
-    algo = resolve_algorithm(g, config)
-    if algo == "brute":
-        limit = config.solution_cutoff
-        return enumerate_brute(g, sink if limit is None else _Limiter(sink, limit))
-    return _run(g, sink, config, algo, stats)
+    return _run(g, sink, config, resolve_algorithm(g, config), stats)
 
 
 def count_induced_matchings(g: DynamicGraph, config: Optional[EnumConfig] = None) -> int:
     """Count solutions by enumeration with a counting sink."""
-    config = config or EnumConfig()
-    sink = CountingSink(config.solution_cutoff)
+    sink = CountingSink()
     enumerate_solutions(g, sink, config)
-    if sink.count > _MAX_COUNT:
-        raise CountOverflow(f"solution count exceeds 64-bit range")
     return sink.count

@@ -17,10 +17,6 @@ class EdgeNotAlive(IndmatchError):
     """Operation on an edge that is currently removed or out of range."""
 
 
-class VertexNotAlive(IndmatchError):
-    """Operation on a vertex that is currently removed or out of range."""
-
-
 class StaleMark(IndmatchError):
     """Rollback requested past a mark that was already consumed."""
 
@@ -43,10 +39,6 @@ class NotC4Free(IndmatchError):
 
 class TooLargeForOracle(IndmatchError):
     """The brute-force oracle refuses graphs beyond its subset-iteration guard."""
-
-
-class CountOverflow(IndmatchError):
-    """A solution count exceeded 64-bit range."""
 
 
 class InfeasibleSpec(IndmatchError):

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .errors import (
-    DuplicateEdge,
-    EdgeNotAlive,
-    SelfLoop,
-    StaleMark,
-    UnknownEdge,
-    VertexNotAlive,
-)
+from .errors import DuplicateEdge, EdgeNotAlive, SelfLoop, StaleMark, UnknownEdge
 
 # A matching is a sequence of edge ids; solutions are emitted as tuples.
 Matching = Sequence[int]
@@ -46,7 +39,6 @@ class DynamicGraph:
         "nxt",
         "prv",
         "alive_edge",
-        "alive_vertex",
         "degree",
         "undo_log",
         "live_edge_count",
@@ -64,7 +56,6 @@ class DynamicGraph:
         self.nxt = [-1] * (2 * self.m)
         self.prv = [0] * (2 * self.m)
         self.alive_edge = bytearray([1]) * self.m
-        self.alive_vertex = bytearray([1]) * n
         self.degree = [0] * n
         self.undo_log: list[int] = []
         self.live_edge_count = self.m
@@ -102,10 +93,7 @@ class DynamicGraph:
 
     def adjacency_sets(self) -> list[set[int]]:
         """Current alive adjacency as vertex sets (test/inspection aid)."""
-        return [
-            {e for e, _ in self.iter_incident(v)} if self.alive_vertex[v] else set()
-            for v in range(self.n)
-        ]
+        return [{e for e, _ in self.iter_incident(v)} for v in range(self.n)]
 
     # -- mutation -----------------------------------------------------
 
@@ -157,16 +145,6 @@ class DynamicGraph:
             self.listener.on_degree_change(u, du, du + 1)
             self.listener.on_degree_change(v, dv, dv + 1)
 
-    def remove_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n) or not self.alive_vertex[v]:
-            raise VertexNotAlive(f"vertex {v} is not alive")
-        while self.head[v] != -1:
-            self.remove_edge(self.head[v] >> 1)
-        self.alive_vertex[v] = 0
-        self.undo_log.append(-(v + 1))
-        if self.listener is not None:
-            self.listener.on_vertex_dead(v)
-
     def mark(self) -> UndoMark:
         return len(self.undo_log)
 
@@ -175,14 +153,7 @@ class DynamicGraph:
         if m > len(log):
             raise StaleMark(f"mark {m} is past the current log end {len(log)}")
         while len(log) > m:
-            rec = log.pop()
-            if rec >= 0:
-                self._relink_edge(rec)
-            else:
-                v = -rec - 1
-                self.alive_vertex[v] = 1
-                if self.listener is not None:
-                    self.listener.on_vertex_alive(v)
+            self._relink_edge(log.pop())
 
 
 def build_graph(edge_pairs: Iterable[tuple[Hashable, Hashable]]) -> DynamicGraph:
@@ -233,26 +204,3 @@ def is_induced_matching(g: DynamicGraph, matching: Matching) -> bool:
         if iv is not None and iv != iu:
             return False
     return True
-
-
-def edge_distance_at_most(g: DynamicGraph, e: int, f: int, k: int) -> bool:
-    """True iff dist(e, f) <= k in the current live graph, k in {0, 1, 2}."""
-    for x in (e, f):
-        if not (0 <= x < g.m) or not g.alive_edge[x]:
-            raise EdgeNotAlive(f"edge {x} is not alive")
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1, or 2")
-    targets = {g.eu[f], g.ev[f]}
-    frontier = [g.eu[e], g.ev[e]]
-    seen = set(frontier)
-    for _ in range(k + 1):
-        if any(x in targets for x in frontier):
-            return True
-        nxt = []
-        for x in frontier:
-            for _, w in g.iter_incident(x):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return False

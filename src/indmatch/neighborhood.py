@@ -20,7 +20,7 @@ cost of a classification proportional to the neighborhood it touches.
 
 from __future__ import annotations
 
-from .errors import EdgeNotInPivotStar, VertexNotAlive, ZeroDegreePivot
+from .errors import EdgeNotInPivotStar, ZeroDegreePivot
 from .graph import DynamicGraph
 
 
@@ -57,8 +57,8 @@ class Classifier:
 
     def classify(self, v: int) -> PivotClassification:
         g = self.g
-        if not (0 <= v < g.n) or not g.alive_vertex[v]:
-            raise VertexNotAlive(f"vertex {v} is not alive")
+        if not 0 <= v < g.n:
+            raise IndexError(f"vertex {v} is out of range")
         if g.degree[v] == 0:
             raise ZeroDegreePivot(f"vertex {v} has degree 0")
         self.epoch += 1
@@ -135,11 +135,6 @@ class Classifier:
 
         dist2_incount = {x: len(parents[x]) for x in level2}
         return PivotClassification(g, v, d01, d11, d12, d2, dist2_incount, sect_map, star)
-
-
-def classify(g: DynamicGraph, v: int) -> PivotClassification:
-    """One-shot classification (tests and small callers)."""
-    return Classifier(g).classify(v)
 
 
 def sect2(c: PivotClassification, e: int) -> list[int]:

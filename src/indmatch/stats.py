@@ -65,10 +65,9 @@ def enumerate_with_stats(
     and d2 sums stay zero for the brute oracle, which has no recursion
     tree (its iteration count is taken as its solution count).
     """
-    config = config or EnumConfig()
     stats = EnumStats()
     if sink is None:
-        sink = CountingSink(config.solution_cutoff)
+        sink = CountingSink()
     count = enumerate_solutions(g, sink, config, stats=stats)
     if stats.iterations == 0:
         # brute oracle: no partition tree
@@ -97,14 +96,12 @@ def bench(
             config = EnumConfig(algorithm=algo, solution_cutoff=cutoff, backend=backend)
             enumerate_with_stats(g, config)  # warm-up
             times = []
-            last = None
             for _ in range(max(1, repeats)):
+                sink = CountingSink()
                 t0 = time.perf_counter_ns()
-                last = enumerate_with_stats(g, config)
+                count, stats = enumerate_with_stats(g, config, sink)
                 times.append(time.perf_counter_ns() - t0)
-            count, stats = last
             wall = int(statistics.median(times))
-            cutoff_applied = cutoff is not None and count >= cutoff
             rows.append(
                 BenchRow(
                     family=spec.family,
@@ -116,7 +113,7 @@ def bench(
                     wall_time_ns=wall,
                     ns_per_solution=wall / count if count else float("nan"),
                     deletions=stats.edge_deletions,
-                    cutoff_applied=cutoff_applied,
+                    cutoff_applied=sink.cutoff_applied,
                 )
             )
     return rows

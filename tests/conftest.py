@@ -95,7 +95,6 @@ def graph_state(g):
         list(g.nxt),
         list(g.prv),
         bytes(g.alive_edge),
-        bytes(g.alive_vertex),
         list(g.degree),
         g.live_edge_count,
         list(g.undo_log),

@@ -11,12 +11,12 @@ import pytest
 
 from indmatch import (
     CountingSink,
+    DegreeIndex,
     DynamicGraph,
     EnumConfig,
     GenSpec,
     ListSink,
     bench,
-    build_index,
     enumerate_brute,
     enumerate_c4free,
     enumerate_general,
@@ -194,7 +194,7 @@ def test_criterion_7_restoration_and_fuzz():
     n = 40
     pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
     g = DynamicGraph(n, rng.sample(pool, 180))
-    idx = build_index(g)
+    idx = DegreeIndex(g)
     before = graph_state(g)
     marks = [g.mark()]
     ops = 0

@@ -3,14 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indmatch import DynamicGraph, build_index
+from indmatch import DegreeIndex, DynamicGraph
 
 from conftest import path_graph, random_graph, star_graph
 
 
 def test_max_vertex_on_star():
     g = star_graph(6)
-    idx = build_index(g)
+    idx = DegreeIndex(g)
     assert idx.max_degree_vertex() == 0
     assert idx.max_nonempty == 5
 
@@ -19,13 +19,13 @@ def test_tie_breaks_to_most_recent_insertion():
     # all degrees equal: the initial build inserts 0..n-1 in order and
     # the tail of the top bucket wins
     g = DynamicGraph(2, [(0, 1)])
-    idx = build_index(g)
+    idx = DegreeIndex(g)
     assert idx.max_degree_vertex() == 1
 
 
 def test_max_none_when_all_isolated():
     g = path_graph(3)
-    idx = build_index(g)
+    idx = DegreeIndex(g)
     g.remove_edge(0)
     g.remove_edge(1)
     assert idx.max_degree_vertex() is None
@@ -34,7 +34,7 @@ def test_max_none_when_all_isolated():
 
 def test_tracks_removal_and_rollback():
     g = path_graph(5)
-    idx = build_index(g)
+    idx = DegreeIndex(g)
     assert idx.max_nonempty == 2
     m = g.mark()
     g.remove_edge(1)
@@ -46,18 +46,6 @@ def test_tracks_removal_and_rollback():
     idx.check_consistency()
 
 
-def test_vertex_removal_hooks():
-    g = star_graph(5)
-    idx = build_index(g)
-    m = g.mark()
-    g.remove_vertex(0)
-    assert idx.max_degree_vertex() is None
-    idx.check_consistency()
-    g.rollback(m)
-    assert idx.max_degree_vertex() == 0
-    idx.check_consistency()
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 999), max_size=30))
 def test_consistency_under_random_ops(seed, choices):
@@ -65,7 +53,7 @@ def test_consistency_under_random_ops(seed, choices):
 
     rng = _random.Random(seed)
     g = random_graph(rng)
-    idx = build_index(g)
+    idx = DegreeIndex(g)
     marks = [g.mark()]
     for c in choices:
         live = g.live_edges()
@@ -77,7 +65,7 @@ def test_consistency_under_random_ops(seed, choices):
             g.rollback(marks[k])
             del marks[k + 1:]
         idx.check_consistency()
-        degs = [g.degree[v] for v in range(g.n) if g.alive_vertex[v]]
+        degs = list(g.degree)
         top = max(degs, default=-1)
         assert idx.max_nonempty == (top if degs else -1)
         if top > 0:

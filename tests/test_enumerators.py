@@ -21,7 +21,9 @@ from indmatch import (
     is_induced_matching,
     native_available,
 )
+from indmatch.cli import EXIT_PARSE, main
 from indmatch.errors import NotC4Free, TooLargeForOracle
+from indmatch.stats import enumerate_with_stats
 
 from conftest import (
     brute_set,
@@ -34,6 +36,7 @@ from conftest import (
 )
 
 BACKENDS = ["python"] + (["native"] if native_available() else [])
+SINK_KINDS = ["list", "callable", "counting"]
 
 # counts derived by the brute oracle ahead of the build, then frozen
 FROZEN_COUNTS = [
@@ -62,6 +65,26 @@ def solutions_of(g, algo, backend, cutoff=None, assertion_mode=False):
     else:
         enumerate_solutions(g, sink, config)
     return sink.solutions
+
+
+def stream_and_stats(g, algo, backend, cutoff=None):
+    sink = ListSink()
+    config = EnumConfig(algorithm=algo, backend=backend, solution_cutoff=cutoff)
+    _, stats = enumerate_with_stats(g, config, sink)
+    return sink.solutions, stats
+
+
+def delivered(g, algo, backend, kind, cutoff=None, sink_cutoff=None):
+    """(returned count, what the sink saw, CountingSink.cutoff_applied) of
+    one run with a sink of the given kind."""
+    config = EnumConfig(algorithm=algo, backend=backend, solution_cutoff=cutoff)
+    if kind == "counting":
+        sink = CountingSink(sink_cutoff)
+        return enumerate_solutions(g, sink, config), sink.count, sink.cutoff_applied
+    seen = []
+    sink = ListSink() if kind == "list" else seen.append
+    count = enumerate_solutions(g, sink, config)
+    return count, sink.solutions if kind == "list" else seen, None
 
 
 class TestFrozenCounts:
@@ -137,15 +160,16 @@ class TestBackendParity:
             g = random_graph(rng)
             if algo == "c4free" and not is_c4_free(g):
                 continue
-            assert solutions_of(g, algo, "python") == solutions_of(g, algo, "native")
+            assert stream_and_stats(g, algo, "python") == stream_and_stats(g, algo, "native")
 
     @pytest.mark.skipif(not native_available(), reason="compiled core not built")
-    def test_identical_streams_under_cutoff(self, rng):
+    @pytest.mark.parametrize("cutoff", [1, 3, 7])
+    @pytest.mark.parametrize("kind", SINK_KINDS)
+    @pytest.mark.parametrize("algo", ["general", "c4free"])
+    def test_identical_streams_under_cutoff(self, algo, kind, cutoff):
         g = cycle_graph(10)
-        for cutoff in (1, 3, 7):
-            assert solutions_of(g, "c4free", "python", cutoff=cutoff) == solutions_of(
-                g, "c4free", "native", cutoff=cutoff
-            )
+        assert delivered(g, algo, "python", kind, cutoff) == delivered(g, algo, "native", kind, cutoff)
+        assert stream_and_stats(g, algo, "python", cutoff) == stream_and_stats(g, algo, "native", cutoff)
 
     def test_native_refuses_assertion_mode(self):
         if not native_available():
@@ -177,6 +201,38 @@ class TestSinksAndCutoffs:
         sink = CountingSink(cutoff=4)
         enumerate_c4free(g, sink, EnumConfig(solution_cutoff=4))
         assert sink.count == 4 and sink.cutoff_applied
+
+    @pytest.mark.parametrize("cutoff", [1, 3, 7])
+    @pytest.mark.parametrize("kind", SINK_KINDS)
+    @pytest.mark.parametrize("algo", ["brute", "general", "c4free"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_engine_honours_the_cutoff(self, backend, algo, kind, cutoff):
+        # cycle(9) has 31 solutions
+        count, seen, applied = delivered(cycle_graph(9), algo, backend, kind, cutoff)
+        assert count == cutoff
+        assert (seen if kind == "counting" else len(seen)) == cutoff
+        assert applied is (True if kind == "counting" else None)
+
+    @pytest.mark.parametrize("algo", ["brute", "general", "c4free"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_smaller_cutoff_wins(self, backend, algo):
+        g = cycle_graph(9)
+        assert delivered(g, algo, backend, "counting", 3, 5) == (3, 3, True)
+        assert delivered(g, algo, backend, "counting", 5, 3) == (3, 3, True)
+        assert delivered(g, algo, backend, "counting", None, 40) == (31, 31, False)
+
+    def test_cutoff_below_one_is_rejected(self, tmp_path):
+        g = cycle_graph(9)
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
+                count_induced_matchings(g, EnumConfig(solution_cutoff=bad))
+            with pytest.raises(ValueError):
+                enumerate_solutions(g, CountingSink(bad))
+            path = tmp_path / "c9.txt"
+            path.write_text("".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
+            with pytest.raises(SystemExit) as exc:
+                main(["enumerate", "--cutoff", str(bad), str(path)])
+            assert exc.value.code == EXIT_PARSE
 
     def test_count_induced_matchings(self):
         assert count_induced_matchings(cycle_graph(6)) == 10

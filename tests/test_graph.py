@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indmatch import DynamicGraph, build_graph, edge_distance_at_most, is_induced_matching
-from indmatch.errors import (
-    DuplicateEdge,
-    EdgeNotAlive,
-    SelfLoop,
-    StaleMark,
-    UnknownEdge,
-    VertexNotAlive,
-)
+from indmatch import DynamicGraph, build_graph, is_induced_matching
+from indmatch.errors import DuplicateEdge, EdgeNotAlive, SelfLoop, StaleMark, UnknownEdge
 
 from conftest import graph_state, path_graph, random_graph
 
@@ -82,27 +75,11 @@ class TestRemoveRollback:
         g.rollback(m0)
         assert g.live_edge_count == 4
 
-    def test_remove_vertex_takes_incident_edges(self):
-        g = path_graph(4)
-        m = g.mark()
-        g.remove_vertex(1)
-        assert not g.alive_vertex[1]
-        assert g.live_edges() == [2]
-        g.rollback(m)
-        assert g.alive_vertex[1]
-        assert g.live_edges() == [0, 1, 2]
-
     def test_double_remove_raises(self):
         g = path_graph(3)
         g.remove_edge(0)
         with pytest.raises(EdgeNotAlive):
             g.remove_edge(0)
-
-    def test_dead_vertex_remove_raises(self):
-        g = path_graph(3)
-        g.remove_vertex(0)
-        with pytest.raises(VertexNotAlive):
-            g.remove_vertex(0)
 
     def test_stale_mark_raises(self):
         g = path_graph(3)
@@ -167,30 +144,3 @@ class TestIsInducedMatching:
         with pytest.raises(UnknownEdge):
             is_induced_matching(path_graph(3), (7,))
 
-
-class TestEdgeDistance:
-    def test_path_distances(self):
-        g = path_graph(6)
-        assert edge_distance_at_most(g, 0, 0, 0)
-        assert edge_distance_at_most(g, 0, 1, 0)  # shared endpoint
-        assert not edge_distance_at_most(g, 0, 2, 0)
-        assert edge_distance_at_most(g, 0, 2, 1)  # one connecting edge
-        assert not edge_distance_at_most(g, 0, 3, 1)
-        assert edge_distance_at_most(g, 0, 3, 2)
-        assert not edge_distance_at_most(g, 0, 4, 2)
-
-    def test_respects_removals(self):
-        g = path_graph(4)
-        assert edge_distance_at_most(g, 0, 2, 2)
-        g.remove_edge(1)
-        assert not edge_distance_at_most(g, 0, 2, 2)
-
-    def test_dead_edge_raises(self):
-        g = path_graph(4)
-        g.remove_edge(1)
-        with pytest.raises(EdgeNotAlive):
-            edge_distance_at_most(g, 0, 1, 2)
-
-    def test_bad_k_raises(self):
-        with pytest.raises(ValueError):
-            edge_distance_at_most(path_graph(4), 0, 1, 3)

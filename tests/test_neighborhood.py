@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from indmatch import build_graph, classify, sect2, check_c4free_local, is_c4_free
-from indmatch.errors import EdgeNotInPivotStar, VertexNotAlive, ZeroDegreePivot
+from indmatch import Classifier, DynamicGraph, build_graph, check_c4free_local, is_c4_free, sect2
+from indmatch.errors import EdgeNotInPivotStar, ZeroDegreePivot
 
 from conftest import cycle_graph, path_graph, random_graph, star_graph
 
@@ -18,69 +18,70 @@ class TestClassifyC6:
         return build_graph([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
 
     def test_classes(self):
-        c = classify(self.graph(), 0)
+        c = Classifier(self.graph()).classify(0)
         assert sorted(c.d01) == [0, 5]
         assert c.d11 == []
         assert sorted(c.d12) == [1, 4]
         assert sorted(c.d2) == [2, 3]
 
     def test_sectors(self):
-        c = classify(self.graph(), 0)
+        c = Classifier(self.graph()).classify(0)
         assert sect2(c, 0) == [2]
         assert sect2(c, 5) == [3]
 
     def test_every_dist2_vertex_has_one_incoming(self):
-        c = classify(self.graph(), 0)
+        c = Classifier(self.graph()).classify(0)
         assert set(c.dist2_incount.values()) == {1}
 
     def test_no_violations(self):
-        assert check_c4free_local(classify(self.graph(), 0)) == []
+        assert check_c4free_local(Classifier(self.graph()).classify(0)) == []
 
 
 class TestClassifyShapes:
     def test_star_is_all_d01(self):
-        c = classify(star_graph(6), 0)
+        c = Classifier(star_graph(6)).classify(0)
         assert sorted(c.d01) == [0, 1, 2, 3, 4]
         assert c.d11 == c.d12 == c.d2 == []
 
     def test_path_middle_pivot(self):
-        c = classify(path_graph(7), 3)
+        c = Classifier(path_graph(7)).classify(3)
         assert sorted(c.d01) == [2, 3]
         assert sorted(c.d12) == [1, 4]
         assert sorted(c.d2) == [0, 5]
 
     def test_triangle_has_d11(self):
-        c = classify(cycle_graph(3), 0)
+        c = Classifier(cycle_graph(3)).classify(0)
         assert sorted(c.d01) == [0, 2]
         assert c.d11 == [1]
         assert c.d12 == [] and c.d2 == []
 
     def test_sect_non_member_raises(self):
-        c = classify(path_graph(7), 3)
+        c = Classifier(path_graph(7)).classify(3)
         with pytest.raises(EdgeNotInPivotStar):
             sect2(c, 0)
 
     def test_dead_or_isolated_pivot_raises(self):
-        g = path_graph(3)
-        g.remove_vertex(0)
-        with pytest.raises(VertexNotAlive):
-            classify(g, 0)
-        g2 = path_graph(3)
-        g2.remove_edge(0)
+        g = star_graph(4)
+        for e in range(3):
+            g.remove_edge(e)
         with pytest.raises(ZeroDegreePivot):
-            classify(g2, 0)
+            Classifier(g).classify(0)
+        with pytest.raises(ZeroDegreePivot):
+            Classifier(DynamicGraph(3, [(0, 1)])).classify(2)
+        with pytest.raises(IndexError):
+            Classifier(g).classify(4)
 
 
 class TestStructuralChecks:
     def test_c4_triggers_incoming_violation(self):
         # in C4 the opposite vertex is reached by two 1-2 edges
-        c = classify(cycle_graph(4), 0)
+        c = Classifier(cycle_graph(4)).classify(0)
         kinds = {kind for kind, _ in check_c4free_local(c)}
         assert "one_incoming_12" in kinds
 
     def test_k4_triggers_adjacent_11_violation(self):
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        kinds = {kind for kind, _ in check_c4free_local(classify(g, 0))}
+        kinds = {kind for kind, _ in check_c4free_local(Classifier(g).classify(0))}
         assert "one_adjacent_11" in kinds
 
     def test_partition_covers_radius_two(self):
@@ -93,7 +94,7 @@ class TestStructuralChecks:
             if not pivots:
                 continue
             v = rng.choice(pivots)
-            c = classify(g, v)
+            c = Classifier(g).classify(v)
             groups = [c.d01, c.d11, c.d12, c.d2]
             all_ids = [e for grp in groups for e in grp]
             assert len(all_ids) == len(set(all_ids))
@@ -123,5 +124,5 @@ class TestStructuralChecks:
             pivots = [v for v in range(g.n) if g.degree[v] > 0]
             if not pivots:
                 continue
-            assert check_c4free_local(classify(g, rng.choice(pivots))) == []
+            assert check_c4free_local(Classifier(g).classify(rng.choice(pivots))) == []
             checked += 1
