@@ -10,7 +10,7 @@ choice.
 
 from .analysis import GenSpec, generate, girth, is_c4_free
 from .degree_index import DegreeIndex
-from .edgelist import parse_edge_list, serialize_edge_list, solution_line
+from .edgelist import LineSink, parse_edge_list, serialize_edge_list, solution_line
 from .enumerate import (
     CountingSink,
     EnumConfig,
@@ -37,6 +37,7 @@ __all__ = [
     "EnumConfig",
     "EnumStats",
     "GenSpec",
+    "LineSink",
     "ListSink",
     "bench",
     "build_graph",

@@ -7,8 +7,12 @@
    solution streams and identical counters.  Structural assertion checks
    stay in the Python engine; this module only enumerates and counts.
 
-   Entry point: run(n, eu, ev, alive_mask, algo, cutoff, emit) -> dict.
-   Built by setup.py; in a development checkout run
+   With vertex labels given, the kernel also renders each solution's
+   canonical line (indmatch/edgelist.py: solution_line) into a byte
+   buffer and hands the buffer to a Python writer once per chunk.
+
+   Entry point: run(n, eu, ev, alive_mask, algo, cutoff, emit, labels=None)
+   -> dict.  Built by setup.py; in a development checkout run
    `python setup.py build_ext --inplace`. */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,6 +22,10 @@
 #include <string.h>
 
 #define MAX_BUFS 48
+/* output chunk size of line mode */
+#define CHUNK (64 * 1024)
+/* iterations between two checks for a pending signal (Ctrl-C) */
+#define SIGNAL_TICK 0xFFFF
 
 typedef struct {
     int n, m, cap;
@@ -54,7 +62,16 @@ typedef struct {
     int max_depth, depth;
     long long cutoff;
     int stopped;
-    PyObject *emit; /* NULL: count only */
+    PyObject *emit; /* NULL: count only; with labels: the chunk writer */
+    /* line mode: per-edge `a-b` texts rendered on first use into `texts`
+       (tlen 0 = not rendered yet); the current matching's edges in text
+       order and its line, each text followed by a space; per matching
+       entry, where its push put it in both; the output chunk */
+    PyObject *labels; /* tuple of str, or NULL */
+    char *texts, *cur, *out;
+    size_t tcap, ttop, ccap, clen, ocap, olen;
+    size_t *toff, *tlen, *loff;
+    int *line, *lpos;
     /* fixed-size buffers, freed together */
     void *bufs[MAX_BUFS];
     int nbufs, oom;
@@ -84,6 +101,10 @@ static void run_free(Run *r)
     free(r->sbuf_u);
     free(r->sbuf_f);
     free(r->arena);
+    free(r->texts);
+    free(r->cur);
+    free(r->out);
+    Py_XDECREF(r->labels);
 }
 
 /* Grows *buf by doubling until it holds `need` ints. */
@@ -317,12 +338,204 @@ static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *
     return 0;
 }
 
+/* -- line rendering -------------------------------------------------- */
+
+/* Byte order of two texts, shorter first on a common prefix: Python's
+   str order, since UTF-8 byte order is code-point order. */
+static int text_cmp(const char *a, size_t la, const char *b, size_t lb)
+{
+    int c = memcmp(a, b, la < lb ? la : lb);
+    return c != 0 ? c : (la > lb) - (la < lb);
+}
+
+static int label(Run *r, int v, const char **text, Py_ssize_t *len)
+{
+    PyObject *o = PyTuple_GET_ITEM(r->labels, v);
+    if (!PyUnicode_Check(o)) {
+        PyErr_Format(PyExc_TypeError, "label of vertex %d is not a str", v);
+        return -1;
+    }
+    *text = PyUnicode_AsUTF8AndSize(o, len);
+    return *text == NULL ? -1 : 0;
+}
+
+/* Grows the byte buffer *buf by doubling until it holds `need` bytes. */
+static int reserve_bytes(char **buf, size_t *cap, size_t need)
+{
+    size_t c = *cap;
+    while (need > c)
+        c *= 2;
+    if (c != *cap) {
+        char *p = realloc(*buf, c);
+        if (p == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        *buf = p;
+        *cap = c;
+    }
+    return 0;
+}
+
+/* Renders edge e's `a-b` text, smaller label first, on its first use. */
+static int render_edge(Run *r, int e)
+{
+    const char *a, *b, *t;
+    Py_ssize_t la, lb, lt;
+    if (r->tlen[e] != 0)
+        return 0;
+    if (label(r, r->eu[e], &a, &la) < 0 || label(r, r->ev[e], &b, &lb) < 0)
+        return -1;
+    if (text_cmp(b, (size_t)lb, a, (size_t)la) < 0) {
+        t = a, a = b, b = t;
+        lt = la, la = lb, lb = lt;
+    }
+    size_t len = (size_t)la + 1 + (size_t)lb;
+    if (reserve_bytes(&r->texts, &r->tcap, r->ttop + len) < 0)
+        return -1;
+    char *p = r->texts + r->ttop;
+    memcpy(p, a, (size_t)la);
+    p[la] = '-';
+    memcpy(p + la + 1, b, (size_t)lb);
+    r->toff[e] = r->ttop;
+    r->tlen[e] = len;
+    r->ttop += len;
+    return 0;
+}
+
+/* Inserts edge e, the matching's entry k, into the current line, which
+   stays sorted: each push and pop changes the line by one edge, so a
+   solution's line is ready when the solution is found. */
+static int line_insert(Run *r, int k, int e)
+{
+    int i;
+    if (render_edge(r, e) < 0)
+        return -1;
+    const char *text = r->texts + r->toff[e];
+    size_t off = 0, len = r->tlen[e] + 1; /* with its separator */
+    for (i = 0; i < k; i++) {
+        int f = r->line[i];
+        if (text_cmp(r->texts + r->toff[f], r->tlen[f], text, r->tlen[e]) > 0)
+            break;
+        off += r->tlen[f] + 1;
+    }
+    if (reserve_bytes(&r->cur, &r->ccap, r->clen + len) < 0)
+        return -1;
+    memmove(r->line + i + 1, r->line + i, sizeof(int) * (size_t)(k - i));
+    r->line[i] = e;
+    memmove(r->cur + off + len, r->cur + off, r->clen - off);
+    memcpy(r->cur + off, text, len - 1);
+    r->cur[off + len - 1] = ' ';
+    r->clen += len;
+    r->lpos[k] = i;
+    r->loff[k] = off;
+    return 0;
+}
+
+/* Removes the matching's entry k, the last one inserted, from the line. */
+static void line_remove(Run *r, int k)
+{
+    int i = r->lpos[k];
+    size_t off = r->loff[k], len = r->tlen[r->line[i]] + 1;
+    memmove(r->line + i, r->line + i + 1, sizeof(int) * (size_t)(k - i));
+    memmove(r->cur + off, r->cur + off + len, r->clen - off - len);
+    r->clen -= len;
+}
+
+/* Adds edge e to the current matching. */
+static inline int push(Run *r, int e)
+{
+    int k = r->msize++;
+    r->mstack[k] = e;
+    return r->labels == NULL ? 0 : line_insert(r, k, e);
+}
+
+/* Undoes the last push. */
+static inline void pop(Run *r)
+{
+    int k = --r->msize;
+    if (r->labels != NULL)
+        line_remove(r, k);
+}
+
+/* Hands the output chunk to the writer, then lets a pending signal
+   (Ctrl-C) raise. */
+static int flush(Run *r)
+{
+    if (r->olen > 0) {
+        PyObject *chunk = PyBytes_FromStringAndSize(r->out, (Py_ssize_t)r->olen);
+        if (chunk == NULL)
+            return -1;
+        r->olen = 0;
+        PyObject *res = PyObject_CallOneArg(r->emit, chunk);
+        Py_DECREF(chunk);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+    }
+    return PyErr_CheckSignals();
+}
+
+/* Appends the current line to the output chunk, flushing first when it
+   does not fit. */
+static int write_line(Run *r)
+{
+    size_t need = r->clen > 0 ? r->clen : 3;
+    if (r->olen + need > r->ocap &&
+        (flush(r) < 0 || reserve_bytes(&r->out, &r->ocap, need) < 0))
+        return -1;
+    char *p = r->out + r->olen;
+    if (r->clen == 0) {
+        memcpy(p, "{}\n", 3);
+    } else {
+        memcpy(p, r->cur, r->clen);
+        p[r->clen - 1] = '\n'; /* in place of the last separator */
+    }
+    r->olen += need;
+    return 0;
+}
+
+static int lines_init(Run *r, PyObject *labels)
+{
+    size_t sm = (size_t)r->m + 1;
+    /* a tuple, so the writer cannot change the labels under the kernel */
+    if (!PyTuple_Check(labels)) {
+        PyErr_SetString(PyExc_TypeError, "labels must be a tuple");
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(labels) != r->n) {
+        PyErr_Format(PyExc_ValueError, "%zd labels for %d vertices",
+                     PyTuple_GET_SIZE(labels), r->n);
+        return -1;
+    }
+    Py_INCREF(labels);
+    r->labels = labels;
+    r->toff = take(r, sm, sizeof(size_t));
+    r->tlen = take(r, sm, sizeof(size_t));
+    r->loff = take(r, sm, sizeof(size_t));
+    r->line = ints(r, sm);
+    r->lpos = ints(r, sm);
+    r->tcap = r->ccap = 4096;
+    r->texts = malloc(r->tcap);
+    r->cur = malloc(r->ccap);
+    r->ocap = CHUNK;
+    r->out = malloc(r->ocap);
+    if (r->oom || !r->texts || !r->cur || !r->out) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
 /* -- emission -------------------------------------------------------- */
 
 static int emit(Run *r)
 {
     r->solutions++;
-    if (r->emit != NULL) {
+    if (r->labels != NULL) {
+        if (write_line(r) < 0)
+            return -1;
+    } else if (r->emit != NULL) {
         PyObject *sol = PyTuple_New(r->msize);
         if (sol == NULL)
             return -1;
@@ -352,6 +565,8 @@ static int emit(Run *r)
 static int rec_c4free(Run *r)
 {
     r->iterations++;
+    if ((r->iterations & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
+        return -1;
     if (r->depth > r->max_depth)
         r->max_depth = r->depth;
     if (r->live == 0)
@@ -505,12 +720,13 @@ static int rec_c4free(Run *r)
             int mi = r->ulen;
             for (i = 0; i < cnt; i++)
                 remove_edge(r, r->arena[sect + 1 + i]);
-            r->mstack[r->msize++] = r->arena[frame + j];
+            if (push(r, r->arena[frame + j]) < 0)
+                return -1;
             r->depth++;
             if (rec_c4free(r) < 0)
                 return -1;
             r->depth--;
-            r->msize--;
+            pop(r);
             rollback(r, mi);
             if (r->stopped)
                 break;
@@ -589,6 +805,8 @@ static int gather_conflicts(Run *r, int e)
 static int rec_general(Run *r)
 {
     r->iterations++;
+    if ((r->iterations & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
+        return -1;
     if (r->depth > r->max_depth)
         r->max_depth = r->depth;
     if (r->live == 0)
@@ -609,12 +827,13 @@ static int rec_general(Run *r)
     int nc = gather_conflicts(r, e);
     for (int i = 0; i < nc; i++)
         remove_edge(r, r->confbuf[i]);
-    r->mstack[r->msize++] = e;
+    if (push(r, e) < 0)
+        return -1;
     r->depth++;
     if (rec_general(r) < 0)
         return -1;
     r->depth--;
-    r->msize--;
+    pop(r);
     rollback(r, mark);
     return 0;
 }
@@ -622,23 +841,25 @@ static int rec_general(Run *r)
 /* -- module ---------------------------------------------------------- */
 
 PyDoc_STRVAR(run_doc,
-"run(n, eu, ev, alive_mask, algo, cutoff, emit) -> dict\n\n"
+"run(n, eu, ev, alive_mask, algo, cutoff, emit, labels=None) -> dict\n\n"
 "Enumerate induced matchings of the graph given as edge arrays.\n\n"
 "`alive_mask[e]` selects the edges present at entry; `algo` is\n"
 "\"c4free\" or \"general\"; `cutoff` stops after that many solutions\n"
 "(0 = unlimited); `emit`, when not None, receives each solution as a\n"
-"tuple of edge ids and may return False to stop.  Returns the\n"
-"instrumentation counters as a dict.");
+"tuple of edge ids and may return False to stop.  With `labels`, a\n"
+"tuple of one str per vertex, `emit` instead receives the solutions'\n"
+"canonical lines as UTF-8 bytes, one call per 64 KiB chunk.  Returns\n"
+"the instrumentation counters as a dict.");
 
 static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "eu", "ev", "alive_mask", "algo", "cutoff", "emit", NULL};
+    static char *kwlist[] = {"n", "eu", "ev", "alive_mask", "algo", "cutoff", "emit", "labels", NULL};
     int n, general, status;
     long long cutoff;
-    PyObject *eu, *ev, *mask, *algo, *sink;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!ULO:run", kwlist, &n,
+    PyObject *eu, *ev, *mask, *algo, *sink, *labels = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!ULO|O:run", kwlist, &n,
                                      &PyList_Type, &eu, &PyList_Type, &ev, &PyBytes_Type,
-                                     &mask, &algo, &cutoff, &sink))
+                                     &mask, &algo, &cutoff, &sink, &labels))
         return NULL;
     Py_ssize_t m = PyList_GET_SIZE(eu);
     if (PyList_GET_SIZE(ev) != m || PyBytes_GET_SIZE(mask) != m) {
@@ -657,16 +878,24 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs
         PyErr_Format(PyExc_ValueError, "unknown algorithm %R", algo);
         return NULL;
     }
+    if (labels != Py_None && sink == Py_None) {
+        PyErr_SetString(PyExc_ValueError, "labels need a writer");
+        return NULL;
+    }
     Run *r = calloc(1, sizeof(Run));
     if (r == NULL)
         return PyErr_NoMemory();
     r->cutoff = cutoff;
     r->emit = sink == Py_None ? NULL : sink;
     status = run_init(r, n, (int)m, eu, ev, mask);
+    if (status == 0 && labels != Py_None)
+        status = lines_init(r, labels);
     if (status == 0 && general)
         status = build_static(r);
     if (status == 0)
         status = general ? rec_general(r) : rec_c4free(r);
+    if (status == 0 && r->labels != NULL)
+        status = flush(r);
     PyObject *res = status < 0 ? NULL : Py_BuildValue(
         "{sLsLsLsisLsLsLsL}", "solutions", r->solutions, "iterations", r->iterations,
         "internal_iterations", r->internal, "max_depth", r->max_depth,

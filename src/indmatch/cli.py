@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -14,6 +15,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_C4FREE = 3
 EXIT_ORACLE_GUARD = 4
+# stdout was closed early (`indmatch enumerate G | head`): 128 + SIGPIPE,
+# the status a shell reports for a process killed by SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_graph(path: str):
@@ -38,21 +42,27 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         sink = CountingSink()
     else:
-
-        def sink(solution):
-            out.write(edgelist.solution_line(g, solution) + "\n")
-            return True
-
+        # lines are UTF-8 bytes whatever the locale, written past the text layer
+        out.flush()
+        sink = edgelist.LineSink(g, out.buffer.write)
     try:
         total = enumerate_solutions(g, sink, config)
+        if args.count_only:
+            out.write(f"{total}\n")
+        out.flush()
     except NotC4Free as exc:
         print(f"error: not C4-free: {exc}", file=sys.stderr)
         return EXIT_NOT_C4FREE
     except TooLargeForOracle as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
-    if args.count_only:
-        out.write(f"{total}\n")
+    except BrokenPipeError:
+        # The reader is gone: stop, and point stdout at devnull so the
+        # flush at interpreter exit stays quiet (Python docs, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return EXIT_OK
 
 

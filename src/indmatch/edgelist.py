@@ -4,12 +4,15 @@ Edge lists are UTF-8 text, one edge per line as two whitespace-separated
 labels; blank lines and lines starting with `#` are ignored.  A solution
 line renders each matching edge as `u-v` with the labels of the pair in
 lexicographic order, edges space-separated and sorted lexicographically;
-the empty matching is the literal `{}`.
+the empty matching is the literal `{}`.  "Lexicographic" is code-point
+order, Python's `str` order, which is also the byte order of the UTF-8
+encodings: the native kernel orders the encoded texts byte by byte and
+writes the same bytes as `solution_line`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import ParseError
 from .graph import DynamicGraph, build_graph
@@ -45,3 +48,23 @@ def solution_line(g: DynamicGraph, matching: Iterable[int]) -> str:
         return "{}"
     parts.sort()
     return " ".join(parts)
+
+
+class LineSink:
+    """Writes each solution's line, UTF-8 encoded and newline-terminated,
+    through `write(bytes)`.
+
+    The native kernel recognises this sink and renders the lines itself,
+    calling `write` once per 64 KiB chunk; every other engine calls the
+    sink once per solution, which renders through `solution_line`.
+    """
+
+    __slots__ = ("g", "write")
+
+    def __init__(self, g: DynamicGraph, write: Callable[[bytes], object]):
+        self.g = g
+        self.write = write
+
+    def __call__(self, solution) -> object:
+        self.write((solution_line(self.g, solution) + "\n").encode())
+        return True

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .degree_index import DegreeIndex
+from .edgelist import LineSink
 from .errors import NotC4Free, TooLargeForOracle
 from .graph import DynamicGraph
 from .neighborhood import Classifier, check_c4free_local, sect2
@@ -355,9 +356,19 @@ def _run_python(g, sink, algo, cutoff, assertion_mode, stats) -> int:
 
 
 def _run_native(g, sink, algo, cutoff, stats) -> int:
+    # The kernel counts solutions, appends them and renders lines itself
+    # for these sinks, with no Python frame per solution.
     counting = isinstance(sink, CountingSink)
-    res = _fastcore.run(g.n, g.eu, g.ev, bytes(g.alive_edge), algo, cutoff or 0,
-                        None if counting else sink)
+    labels = None
+    if counting:
+        emit = None
+    elif type(sink) is ListSink:
+        emit = sink.solutions.append
+    elif type(sink) is LineSink:
+        emit, labels = sink.write, tuple(map(str, sink.g.labels))
+    else:
+        emit = sink
+    res = _fastcore.run(g.n, g.eu, g.ev, bytes(g.alive_edge), algo, cutoff or 0, emit, labels)
     if counting:
         sink.count += res["solutions"]
     if stats is not None:

@@ -8,7 +8,6 @@ assert on C4-free inputs.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -89,6 +88,8 @@ def bench(
     `repeats` times with a counting sink honoring `cutoff`; rows come
     out in input order.
     """
+    import statistics  # here, not at the top: it costs every CLI start ~5 ms
+
     rows: list[BenchRow] = []
     for spec in specs:
         g = generate(spec)

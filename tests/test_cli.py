@@ -1,8 +1,22 @@
 """End-to-end CLI coverage through `indmatch.cli.main`."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from indmatch.cli import EXIT_NOT_C4FREE, EXIT_OK, EXIT_ORACLE_GUARD, EXIT_PARSE, main
+import indmatch
+from indmatch import GenSpec, generate, serialize_edge_list
+from indmatch.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_NOT_C4FREE,
+    EXIT_OK,
+    EXIT_ORACLE_GUARD,
+    EXIT_PARSE,
+    main,
+)
 from indmatch.stats import CSV_HEADER
 
 
@@ -10,6 +24,14 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def cli_process(args, **env):
+    """`python -m indmatch.cli ARGS` in a child, importing this package."""
+    path = str(Path(indmatch.__file__).resolve().parent.parent)
+    return subprocess.Popen([sys.executable, "-m", "indmatch.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 P4 = "1 2\n2 3\n3 4\n"
@@ -56,6 +78,23 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", path])
         assert exc.value.code == EXIT_PARSE
+
+    def test_lines_are_utf8_whatever_the_locale(self, tmp_path):
+        path = write(tmp_path, "u.txt", "\u00e9 z\nz \u65e5\u672c\n")
+        proc = cli_process(["enumerate", path], PYTHONIOENCODING="ascii")
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+        assert sorted(out.decode("utf-8").splitlines()) == ["z-\u00e9", "z-\u65e5\u672c", "{}"]
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # about 1.3 MB of lines, far more than a pipe holds
+        g = generate(GenSpec(family="randomgirth5", n=32, m=42, seed=3))
+        path = write(tmp_path, "g.txt", serialize_edge_list(g))
+        proc = cli_process(["enumerate", path])
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
 
     @pytest.mark.parametrize("backend", ["python", "auto"])
     def test_backend_flag(self, tmp_path, capsys, backend):

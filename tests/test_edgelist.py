@@ -1,8 +1,20 @@
 """Edge-list parsing/serialization and canonical solution lines."""
 
+import io
+
 import pytest
 
-from indmatch import parse_edge_list, serialize_edge_list, solution_line
+from indmatch import (
+    EnumConfig,
+    LineSink,
+    ListSink,
+    build_graph,
+    enumerate_solutions,
+    native_available,
+    parse_edge_list,
+    serialize_edge_list,
+    solution_line,
+)
 from indmatch.errors import DuplicateEdge, ParseError
 
 
@@ -38,3 +50,16 @@ def test_solution_line_formatting():
     assert solution_line(g, (0,)) == "1-2"
     # within a pair labels sort lexicographically, edges sort by line
     assert solution_line(g, (2, 0)) == "1-2 3-4"
+
+
+@pytest.mark.parametrize("backend", ["python"] + (["native"] if native_available() else []))
+@pytest.mark.parametrize("cutoff", [None, 2])
+def test_line_sink_writes_solution_lines(backend, cutoff):
+    # labels of any type render through str(), as in solution_line
+    g = build_graph([((1, 2), "b"), ("b", 10), (10, "1-0"), ("1-0", "\u00e9"), ("\u00e9", (1, 2))])
+    config = EnumConfig(algorithm="general", backend=backend, solution_cutoff=cutoff)
+    out = io.BytesIO()
+    enumerate_solutions(g, LineSink(g, out.write), config)
+    sink = ListSink()
+    enumerate_solutions(g, sink, config)
+    assert out.getvalue() == "".join(solution_line(g, s) + "\n" for s in sink.solutions).encode()

@@ -1,19 +1,24 @@
 """The native kernel builds from source with warnings as errors, and the
-build gives the same solution streams and counters as the Python engines.
+build gives the same solution streams and counters as the Python engines,
+the same CLI output bytes, and stops on Ctrl-C.
 
-The extension is compiled by the project's own `setup.py` into a
+The extension is compiled once by the project's own `setup.py` into a
 temporary directory, next to a copy of the package's Python files, and
-checked in a fresh interpreter; the checkout is left untouched.
+checked in fresh interpreters; the checkout is left untouched.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
+
+from indmatch import GenSpec, generate, serialize_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "indmatch"
@@ -56,12 +61,102 @@ print(runs, "runs identical")
 """
 
 
-@pytest.mark.skipif(compiler() is None, reason="no C compiler")
-def test_kernel_builds_cleanly_and_matches_python(tmp_path):
-    lib = tmp_path / "lib"
+# The CLI's output bytes from the native kernel's line renderer, checked
+# against the Python backend (the `solution_line` adapter) byte for byte
+# and, on complete runs, against the brute oracle's set of lines (brute
+# enumerates in another order).  Labels mix multi-byte UTF-8, labels that
+# are prefixes of each other and labels containing `-`, for which the
+# order of the joined `a-b` texts differs from the order of label pairs.
+RENDER = r"""
+import io, random, sys
+from indmatch import GenSpec, cli, generate, is_c4_free, native_available, parse_edge_list
+
+assert native_available()
+LABELS = ["1", "10", "100", "1-0", "0", "5", "2", "-", "a-b", "z", "Z", "\u00e9", "e\u0301",
+          "\u00fc", "\u65e5\u672c", "\U0001d538", "\U0001d538x", "\uffff"]
+
+def enumerate_bytes(path, *args):
+    real = sys.stdout
+    # an ASCII text layer: the lines must bypass it as UTF-8 bytes
+    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    try:
+        assert cli.main(["enumerate", path, *args]) == 0
+        sys.stdout.flush()
+        return sys.stdout.buffer.getvalue()
+    finally:
+        sys.stdout = real
+
+def check(text, brute=True):
+    path = "graph.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    c4free = is_c4_free(parse_edge_list(text))
+    full = complete = None
+    for cutoff in (None, 1, 3, 7):
+        extra = [] if cutoff is None else ["--cutoff", str(cutoff)]
+        for algo in ["auto", "general"] + (["c4free"] if c4free else []):
+            native = enumerate_bytes(path, "--algo", algo, "--backend", "native", *extra)
+            python = enumerate_bytes(path, "--algo", algo, "--backend", "python", *extra)
+            assert native == python, (text, algo, cutoff)
+        lines = native.decode("utf-8").splitlines()
+        if cutoff is None:
+            full, complete = native, set(lines)
+            assert len(complete) == len(lines)
+            if brute:
+                oracle = enumerate_bytes(path, "--algo", "brute").decode("utf-8").splitlines()
+                assert sorted(lines) == sorted(oracle), text
+        else:
+            assert len(lines) == min(cutoff, len(complete)) and complete.issuperset(lines)
+    return full
+
+rng = random.Random(11)
+check("")
+assert enumerate_bytes("graph.txt") == b"{}\n"
+check("1-0 5\n5 1\n1 2\n2 10\n10 100\n")
+for _ in range(40):
+    n = rng.randint(2, 10)
+    pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    names = rng.sample(LABELS, n)
+    edges = rng.sample(pool, rng.randint(1, min(len(pool), 14)))
+    check("".join(f"{names[a]} {names[b]}\n" for a, b in edges))
+
+# bad labels and a failing writer raise, as a failing sink does
+from indmatch import _fastcore
+
+def raises(exc, write, labels):
+    try:
+        _fastcore.run(2, [0], [1], b"\1", "general", 0, write, labels)
+    except exc:
+        return
+    raise AssertionError((exc, labels))
+
+ignore = lambda chunk: None
+raises(TypeError, ignore, ["a", "b"])
+raises(ValueError, ignore, ("a",))
+raises(TypeError, ignore, ("a", 1))
+raises(UnicodeEncodeError, ignore, ("a", "\ud800"))
+raises(ValueError, None, ("a", "b"))
+raises(ZeroDivisionError, lambda chunk: 1 / 0, ("a", "b"))
+
+# more than two 64 KiB chunks, with multi-byte labels
+g = generate(GenSpec(family="randomgirth5", n=32, m=42, seed=3))
+name = [LABELS[v % len(LABELS)] + str(v) for v in range(g.n)]
+big = check("".join(f"{name[u]} {name[v]}\n" for u, v in zip(g.eu, g.ev)), brute=False)
+assert len(big) > 2 * 65536, len(big)
+print("cli output identical")
+"""
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A directory holding the package with the kernel built from source."""
+    if compiler() is None:
+        pytest.skip("no C compiler")
+    tmp = tmp_path_factory.mktemp("native")
+    lib = tmp / "lib"
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib),
-         "--build-temp", str(tmp_path / "temp")],
+         "--build-temp", str(tmp / "temp")],
         cwd=ROOT, env=dict(os.environ, CFLAGS="-Wall -Wextra -Werror"),
         capture_output=True, text=True, timeout=300,
     )
@@ -70,9 +165,45 @@ def test_kernel_builds_cleanly_and_matches_python(tmp_path):
     assert build.returncode == 0 and built, build.stdout + build.stderr
     for source in PACKAGE.glob("*.py"):
         shutil.copy(source, lib / "indmatch")
-    check = subprocess.run(
-        [sys.executable, "-c", CHECK], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(lib)),
+    return lib
+
+
+def run_check(lib, script, cwd):
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(lib)),
         capture_output=True, text=True, timeout=600,
     )
+
+
+def test_kernel_builds_cleanly_and_matches_python(built, tmp_path):
+    check = run_check(built, CHECK, tmp_path)
     assert check.returncode == 0, check.stdout + check.stderr
     assert "runs identical" in check.stdout
+
+
+def test_cli_lines_match_python_and_brute(built, tmp_path):
+    check = run_check(built, RENDER, tmp_path)
+    assert check.returncode == 0, check.stdout + check.stderr
+    assert "cli output identical" in check.stdout
+
+
+@pytest.mark.parametrize("count_only", [True, False], ids=["count-only", "lines"])
+def test_ctrl_c_stops_the_kernel(built, tmp_path, count_only):
+    # far too many solutions to finish; lines go to the null device, since
+    # the kernel renders them at well over 100 MB/s
+    graph = tmp_path / "g.txt"
+    graph.write_text(serialize_edge_list(generate(GenSpec("randomgirth5", 200, 240, seed=0))))
+    argv = [sys.executable, "-m", "indmatch.cli", "enumerate", "--backend", "native", str(graph)]
+    with open(os.devnull, "wb") as out:
+        proc = subprocess.Popen(argv + ["--count-only"] * count_only, stdout=out,
+                                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(built)))
+        try:
+            time.sleep(0.5)
+            assert proc.poll() is None, proc.communicate()[1]
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=1)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert b"KeyboardInterrupt" in err, err
