@@ -11,8 +11,10 @@
    canonical line (indmatch/edgelist.py: solution_line) into a byte
    buffer and hands the buffer to a Python writer once per chunk.
 
-   Entry point: run(n, eu, ev, alive_mask, algo, cutoff, emit, labels=None)
-   -> dict.  Built by setup.py; in a development checkout run
+   Entry points: run(n, eu, ev, alive_mask, algo, cutoff, emit,
+   labels=None) -> dict, and c4free(n, eu, ev, alive_mask) -> bool, the
+   C4-freeness check of indmatch/analysis.py: is_c4_free.  Built by
+   setup.py; in a development checkout run
    `python setup.py build_ext --inplace`. */
 
 #define PY_SSIZE_T_CLEAN
@@ -336,6 +338,35 @@ static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *
     for (int v = 0; v < n; v++)
         binsert(r, v, r->deg[v]);
     return 0;
+}
+
+/* -- C4 check -------------------------------------------------------- */
+
+/* 1 when the live graph has no 4-cycle, that is, no two vertices share
+   two neighbours; 0 when it has one; -1 on a pending signal.  The 2-path
+   ends out of v get v's mark, and the scan stops at an end reached
+   twice.  Each ordered vertex pair is marked at most once before that,
+   so the scan ends within n*n marks. */
+static int scan_c4free(Run *r)
+{
+    long long steps = 0;
+    for (int v = 0; v < r->n; v++) {
+        int ep = next_epoch(&r->epoch, r->vmark, r->n, r->emark, r->m);
+        for (int a = r->head[v]; a != -1; a = r->nxt[a]) {
+            int u = (a & 1) ? r->eu[a >> 1] : r->ev[a >> 1];
+            for (int b = r->head[u]; b != -1; b = r->nxt[b]) {
+                int w = (b & 1) ? r->eu[b >> 1] : r->ev[b >> 1];
+                if (w == v)
+                    continue;
+                if (r->vmark[w] == ep)
+                    return 0;
+                r->vmark[w] = ep;
+                if ((++steps & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
+                    return -1;
+            }
+        }
+    }
+    return 1;
 }
 
 /* -- line rendering -------------------------------------------------- */
@@ -851,25 +882,33 @@ PyDoc_STRVAR(run_doc,
 "canonical lines as UTF-8 bytes, one call per 64 KiB chunk.  Returns\n"
 "the instrumentation counters as a dict.");
 
+/* The edge count of the graph arguments, or -1 with an exception set. */
+static int graph_size(int n, PyObject *eu, PyObject *ev, PyObject *mask)
+{
+    Py_ssize_t m = PyList_GET_SIZE(eu);
+    if (PyList_GET_SIZE(ev) != m || PyBytes_GET_SIZE(mask) != m) {
+        PyErr_SetString(PyExc_ValueError, "eu, ev and alive_mask must have equal length");
+        return -1;
+    }
+    if (n < 0 || m >= INT_MAX / 2) {
+        PyErr_SetString(PyExc_ValueError, "graph size out of range");
+        return -1;
+    }
+    return (int)m;
+}
+
 static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "eu", "ev", "alive_mask", "algo", "cutoff", "emit", "labels", NULL};
-    int n, general, status;
+    int n, m, general, status;
     long long cutoff;
     PyObject *eu, *ev, *mask, *algo, *sink, *labels = Py_None;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!ULO|O:run", kwlist, &n,
                                      &PyList_Type, &eu, &PyList_Type, &ev, &PyBytes_Type,
                                      &mask, &algo, &cutoff, &sink, &labels))
         return NULL;
-    Py_ssize_t m = PyList_GET_SIZE(eu);
-    if (PyList_GET_SIZE(ev) != m || PyBytes_GET_SIZE(mask) != m) {
-        PyErr_SetString(PyExc_ValueError, "eu, ev and alive_mask must have equal length");
+    if ((m = graph_size(n, eu, ev, mask)) < 0)
         return NULL;
-    }
-    if (n < 0 || m >= INT_MAX / 2) {
-        PyErr_SetString(PyExc_ValueError, "graph size out of range");
-        return NULL;
-    }
     if (PyUnicode_CompareWithASCIIString(algo, "general") == 0) {
         general = 1;
     } else if (PyUnicode_CompareWithASCIIString(algo, "c4free") == 0) {
@@ -887,7 +926,7 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs
         return PyErr_NoMemory();
     r->cutoff = cutoff;
     r->emit = sink == Py_None ? NULL : sink;
-    status = run_init(r, n, (int)m, eu, ev, mask);
+    status = run_init(r, n, m, eu, ev, mask);
     if (status == 0 && labels != Py_None)
         status = lines_init(r, labels);
     if (status == 0 && general)
@@ -906,15 +945,44 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs
     return res;
 }
 
+PyDoc_STRVAR(c4free_doc,
+"c4free(n, eu, ev, alive_mask) -> bool\n\n"
+"True iff the graph given as edge arrays, restricted to the edges with\n"
+"`alive_mask[e]` set, has no 4-cycle.  The arguments are checked as\n"
+"run() checks them.");
+
+static PyObject *c4free(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "eu", "ev", "alive_mask", NULL};
+    int n, m, status;
+    PyObject *eu, *ev, *mask;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!:c4free", kwlist, &n, &PyList_Type,
+                                     &eu, &PyList_Type, &ev, &PyBytes_Type, &mask))
+        return NULL;
+    if ((m = graph_size(n, eu, ev, mask)) < 0)
+        return NULL;
+    Run *r = calloc(1, sizeof(Run));
+    if (r == NULL)
+        return PyErr_NoMemory();
+    status = run_init(r, n, m, eu, ev, mask);
+    if (status == 0)
+        status = scan_c4free(r);
+    run_free(r);
+    free(r);
+    return status < 0 ? NULL : PyBool_FromLong(status);
+}
+
 static PyMethodDef methods[] = {
     {"run", (PyCFunction)(void (*)(void))run, METH_VARARGS | METH_KEYWORDS, run_doc},
+    {"c4free", (PyCFunction)(void (*)(void))c4free, METH_VARARGS | METH_KEYWORDS, c4free_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "indmatch._fastcore",
-    .m_doc = "Native kernel of the C4-free and general partition enumerators.",
+    .m_doc = "Native kernel of the C4-free and general partition enumerators\n"
+             "and of the C4-freeness check.",
     .m_size = -1,
     .m_methods = methods,
 };

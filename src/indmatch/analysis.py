@@ -8,6 +8,11 @@ from typing import Optional
 from .errors import InfeasibleSpec
 from .graph import DynamicGraph
 
+try:
+    from . import _fastcore
+except ImportError:  # pure-Python fallback only
+    _fastcore = None
+
 FAMILIES = ("path", "cycle", "star", "randomtree", "randomgirth5")
 
 
@@ -39,8 +44,23 @@ def is_c4_free(g: DynamicGraph) -> bool:
     """True iff no 4-cycle subgraph exists in the live graph.
 
     Equivalent formulation: no two distinct vertices share two or more
-    common neighbors.  Counts 2-paths out of each vertex in
-    O(sum of squared degrees).
+    common neighbors.  The check runs in the native kernel when it is
+    built, and in `is_c4_free_python` otherwise; both give the same
+    answer on every simple graph.  The kernel checks its input as the
+    native engines do: a non-int endpoint raises `TypeError`, an
+    endpoint out of range, a self-loop or a live parallel edge
+    `ValueError`.
+    """
+    if _fastcore is not None:
+        return _fastcore.c4free(g.n, g.eu, g.ev, bytes(g.alive_edge))
+    return is_c4_free_python(g)
+
+
+def is_c4_free_python(g: DynamicGraph) -> bool:
+    """The pure-Python C4 check, and the reference for the native one.
+
+    Counts 2-paths out of each vertex and stops at the first vertex
+    reached by two of them, in O(sum of squared degrees).
     """
     paths = [0] * g.n
     for v in range(g.n):

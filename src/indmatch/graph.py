@@ -47,32 +47,37 @@ class DynamicGraph:
     )
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]], labels=None):
+        m = len(edges)
         self.n = n
-        self.m = len(edges)
+        self.m = m
         self.eu = [u for u, _ in edges]
         self.ev = [v for _, v in edges]
         self.labels = labels if labels is not None else list(range(n))
-        self.head = [-1] * n
-        self.nxt = [-1] * (2 * self.m)
-        self.prv = [0] * (2 * self.m)
-        self.alive_edge = bytearray([1]) * self.m
-        self.degree = [0] * n
+        self.alive_edge = bytearray([1]) * m
         self.undo_log: list[int] = []
-        self.live_edge_count = self.m
+        self.live_edge_count = m
         self.listener = None
-        for e in range(self.m):
-            self._link_front(2 * e, self.eu[e])
-            self._link_front(2 * e + 1, self.ev[e])
-            self.degree[self.eu[e]] += 1
-            self.degree[self.ev[e]] += 1
-
-    def _link_front(self, arc: int, v: int) -> None:
-        h = self.head[v]
-        self.nxt[arc] = h
-        self.prv[arc] = -(v + 1)
-        if h != -1:
-            self.prv[h] = arc
-        self.head[v] = arc
+        # Arcs 2e (at u) and 2e+1 (at v) are linked in ascending order,
+        # each at the front of its vertex's list.
+        head = [-1] * n
+        nxt = [-1] * (2 * m)
+        prv = [0] * (2 * m)
+        degree = [0] * n
+        arc = 0
+        for u, v in edges:
+            for w in (u, v):
+                h = head[w]
+                nxt[arc] = h
+                prv[arc] = -(w + 1)
+                if h != -1:
+                    prv[h] = arc
+                head[w] = arc
+                degree[w] += 1
+                arc += 1
+        self.head = head
+        self.nxt = nxt
+        self.prv = prv
+        self.degree = degree
 
     # -- queries ------------------------------------------------------
 
@@ -164,16 +169,16 @@ def build_graph(edge_pairs: Iterable[tuple[Hashable, Hashable]]) -> DynamicGraph
     """
     ids: dict[Hashable, int] = {}
     edges: list[tuple[int, int]] = []
-    seen: set[frozenset] = set()
+    seen: set[tuple[int, int]] = set()
     for a, b in edge_pairs:
         if a == b:
             raise SelfLoop(f"edge ({a!r}, {b!r}) is a self-loop")
-        key = frozenset((a, b))
+        u = ids.setdefault(a, len(ids))
+        v = ids.setdefault(b, len(ids))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise DuplicateEdge(f"edge ({a!r}, {b!r}) repeats an earlier pair")
         seen.add(key)
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
         edges.append((u, v))
     labels = list(ids)
     return DynamicGraph(len(labels), edges, labels)

@@ -79,6 +79,19 @@ class TestEnumerate:
             main(["enumerate", path])
         assert exc.value.code == EXIT_PARSE
 
+    @pytest.mark.parametrize("text, message", [
+        ("a b\n\nb c c\n", "error: line 3: expected two labels, got 3\n"),
+        ("a b\nc c\n", "error: edge ('c', 'c') is a self-loop\n"),
+        ("a b\nb c\nc a\nb a\n", "error: edge ('b', 'a') repeats an earlier pair\n"),
+    ], ids=["parse", "self-loop", "duplicate"])
+    def test_bad_input_message(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "bad.txt", text)
+        for command in (["enumerate"], ["check"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, path])
+            assert exc.value.code == EXIT_PARSE
+            assert capsys.readouterr() == ("", message)
+
     def test_lines_are_utf8_whatever_the_locale(self, tmp_path):
         path = write(tmp_path, "u.txt", "\u00e9 z\nz \u65e5\u672c\n")
         proc = cli_process(["enumerate", path], PYTHONIOENCODING="ascii")

@@ -15,7 +15,7 @@ from indmatch import (
     serialize_edge_list,
     solution_line,
 )
-from indmatch.errors import DuplicateEdge, ParseError
+from indmatch.errors import DuplicateEdge, ParseError, SelfLoop
 
 
 def test_parse_skips_blanks_and_comments():
@@ -31,8 +31,22 @@ def test_parse_rejects_wrong_token_count():
 
 
 def test_parse_rejects_duplicates():
-    with pytest.raises(DuplicateEdge):
-        parse_edge_list("a b\nb a\n")
+    with pytest.raises(DuplicateEdge) as exc:
+        parse_edge_list("a b\nb c\nb a\n")
+    assert str(exc.value) == "edge ('b', 'a') repeats an earlier pair"
+
+
+def test_parse_labels_are_strings():
+    # "1" and "01" are two vertices, so "01 2" does not repeat "1 2"
+    g = parse_edge_list("1 2\n01 2\n")
+    assert g.labels == ["1", "2", "01"]
+    assert (g.eu, g.ev) == ([0, 2], [1, 1])
+
+
+def test_parse_rejects_self_loops():
+    with pytest.raises(SelfLoop) as exc:
+        parse_edge_list("a b\nb b\n")
+    assert str(exc.value) == "edge ('b', 'b') is a self-loop"
 
 
 def test_roundtrip():

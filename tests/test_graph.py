@@ -24,6 +24,15 @@ class TestBuildGraph:
         with pytest.raises(DuplicateEdge):
             build_graph([(1, 2), (2, 1)])
 
+    def test_equal_labels_are_one_vertex(self):
+        # labels are dict keys: equal values name one vertex, so 1 and 1.0
+        # make a self-loop and a repeated pair, while "1" and 1 differ
+        with pytest.raises(SelfLoop):
+            build_graph([(1, 1.0)])
+        with pytest.raises(DuplicateEdge):
+            build_graph([(1, 2), (2.0, 1.0)])
+        assert build_graph([(1, 2), ("1", 2)]).n == 3
+
     def test_empty(self):
         g = build_graph([])
         assert g.n == 0 and g.m == 0
@@ -41,6 +50,16 @@ class TestAdjacency:
     def test_degrees(self):
         g = path_graph(4)
         assert g.degree == [1, 2, 2, 1]
+
+    def test_arc_layout(self):
+        # arcs 2e and 2e+1 linked in edge order, each at the front of its
+        # list; prv of a list's first arc is -(vertex + 1)
+        g = DynamicGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (1, 4)])
+        assert g.head == [5, 10, 6, 8, 11]
+        assert g.nxt == [-1, -1, 1, -1, 3, 0, 4, -1, 7, -1, 2, 9]
+        assert g.prv == [5, 2, 10, 4, 6, -1, -3, 8, -4, 11, -2, -5]
+        assert g.degree == [2, 3, 3, 2, 2]
+        assert g.adjacency_sets() == [{0, 2}, {0, 1, 5}, {1, 2, 3}, {3, 4}, {4, 5}]
 
 
 class TestRemoveRollback:
