@@ -1,9 +1,9 @@
 """Enumeration of induced matchings, with a constant-amortized-time
 multi-way partition algorithm for C4-free graphs.
 
-The hot enumeration kernels and the C4-freeness check have a native
-implementation in `indmatch._fastcore`, plain C compiled by `setup.py`;
-when it is not built, a pure-Python twin is used.  `native_available()`
+The hot enumeration kernels, the C4-freeness check and the edge-list
+parser have a native implementation in `indmatch._fastcore`, plain C
+compiled by `setup.py`; when it is not built, a pure-Python twin is used.  `native_available()`
 reports which one is active, and `EnumConfig.backend`
 (auto|python|native) pins a choice for the enumeration.
 """

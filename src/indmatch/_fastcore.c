@@ -12,14 +12,16 @@
    buffer and hands the buffer to a Python writer once per chunk.
 
    Entry points: run(n, eu, ev, alive_mask, algo, cutoff, emit,
-   labels=None) -> dict, and c4free(n, eu, ev, alive_mask) -> bool, the
-   C4-freeness check of indmatch/analysis.py: is_c4_free.  Built by
-   setup.py; in a development checkout run
-   `python setup.py build_ext --inplace`. */
+   labels=None) -> dict; c4free(n, eu, ev, alive_mask) -> bool, the
+   C4-freeness check of indmatch/analysis.py: is_c4_free; and
+   parse(text) -> (labels, eu, ev) or None, the edge-list parser of
+   indmatch/edgelist.py: parse_edge_list.  Built by setup.py; in a
+   development checkout run `python setup.py build_ext --inplace`. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -180,12 +182,12 @@ static void bmove(Run *r, int v, int old, int new)
         r->btail[d] = p;
     else
         r->bprv[nn] = p;
-    /* scan for a new maximum only on a decrease; an increase re-raises
-       the maximum in the insert below */
-    if (new < old && d == r->maxb && r->bhead[d] == -1)
-        while (r->maxb >= 0 && r->bhead[r->maxb] == -1)
-            r->maxb--;
     binsert(r, v, new);
+    /* an increase re-raised the maximum in the insert; a decrease by one
+       put v just below the old maximum, so the scan takes one step */
+    if (new < old)
+        while (r->bhead[r->maxb] == -1)
+            r->maxb--;
 }
 
 static void shift_degrees(Run *r, int e, int by)
@@ -611,25 +613,22 @@ static int rec_c4free(Run *r)
     r->vmark[v] = ep;
     r->vdist[v] = 0;
 
-    /* pivot star: the 0-1 edges and the distance-1 ring */
-    for (a = r->head[v]; a != -1; a = r->nxt[a]) {
+    /* pivot star: the 0-1 edges and the distance-1 ring.  The 0-1 edges
+       are stored back to front, which is ascending edge id, the child
+       order: every adjacency list is in descending edge id, since
+       run_init head-inserts in ascending order, removals keep the order
+       and rollbacks restore it. */
+    nd01 = r->deg[v];
+    for (a = r->head[v], k = nd01; a != -1; a = r->nxt[a]) {
         e = a >> 1;
         u = (a & 1) ? eu[e] : ev[e];
-        r->t01[nd01++] = e;
+        r->t01[--k] = e;
         r->emark[e] = ep;
         if (r->vmark[u] != ep) {
             r->vmark[u] = ep;
             r->vdist[u] = 1;
             r->lvl1[nl1++] = u;
         }
-    }
-
-    /* child order is ascending 0-1 edge id */
-    for (i = 1; i < nd01; i++) {
-        e = r->t01[i];
-        for (j = i; j > 0 && r->t01[j - 1] > e; j--)
-            r->t01[j] = r->t01[j - 1];
-        r->t01[j] = e;
     }
 
     /* edges leaving the distance-1 ring: 1-1 and 1-2, plus the parent
@@ -869,6 +868,208 @@ static int rec_general(Run *r)
     return 0;
 }
 
+/* -- edge-list ingest ------------------------------------------------ */
+
+/* Python's line boundaries (str.splitlines) and whitespace (str.strip,
+   str.split); every line boundary is whitespace too. */
+static inline int is_break(Py_UCS4 c)
+{
+    return c < 128 ? (c >= '\n' && c <= '\r') || (c >= 0x1c && c <= 0x1e)
+                   : Py_UNICODE_ISLINEBREAK(c);
+}
+
+/* A label: the slice text[start:start+len], with its hash. */
+typedef struct {
+    Py_ssize_t start;
+    uint64_t hash;
+    int len;
+} Label;
+
+/* The parser's state: labels by id, looked up by hash in `slots` (label
+   id + 1, 0 = free); `pairs` holds each edge's (smaller id << 32 |
+   larger id), 0 = free.  Both tables are at most half full, since there
+   are at most two labels and one edge per line. */
+typedef struct {
+    int kind;
+    const char *data;
+    Label *labels;
+    int nlabels;
+    int *slots;
+    uint64_t *pairs;
+    size_t lmask, pmask;
+    int *eu, *ev;
+    int m;
+} Ingest;
+
+static void ingest_free(Ingest *p)
+{
+    free(p->labels);
+    free(p->slots);
+    free(p->pairs);
+    free(p->eu);
+    free(p->ev);
+}
+
+/* The id of label t, interned on first use. */
+static int intern(Ingest *p, const Label *t)
+{
+    size_t i = (size_t)t->hash & p->lmask;
+    for (; p->slots[i] != 0; i = (i + 1) & p->lmask) {
+        const Label *l = &p->labels[p->slots[i] - 1];
+        if (l->hash == t->hash && l->len == t->len &&
+            memcmp(p->data + l->start * p->kind, p->data + t->start * p->kind,
+                   (size_t)t->len * p->kind) == 0)
+            return p->slots[i] - 1;
+    }
+    p->labels[p->nlabels] = *t;
+    p->slots[i] = ++p->nlabels;
+    return p->nlabels - 1;
+}
+
+/* Adds the edge u-v; 0 when it repeats an earlier pair. */
+static int add_pair(Ingest *p, int u, int v)
+{
+    uint64_t key = u < v ? (uint64_t)u << 32 | (uint64_t)v : (uint64_t)v << 32 | (uint64_t)u;
+    size_t i = (size_t)((key * 0x9E3779B97F4A7C15ull) >> 20) & p->pmask;
+    for (; p->pairs[i] != 0; i = (i + 1) & p->pmask)
+        if (p->pairs[i] == key)
+            return 0;
+    p->pairs[i] = key;
+    p->eu[p->m] = u;
+    p->ev[p->m++] = v;
+    return 1;
+}
+
+/* 1 on a well-formed edge list, 0 on a line that is not two distinct
+   labels or that repeats a pair, -1 with an exception set. */
+static int ingest(Ingest *p, PyObject *text)
+{
+    Py_ssize_t n = PyUnicode_GET_LENGTH(text), i = 0;
+    Label tok[2];
+    /* one more than the lines neither blank nor comments, which bounds
+       the edges and half the labels */
+    size_t lines = 1, lcap = 4, pcap = 2;
+    int fresh = 1;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        Py_UCS4 c = PyUnicode_READ(p->kind, p->data, j);
+        if (is_break(c)) {
+            fresh = 1;
+        } else if (fresh && !Py_UNICODE_ISSPACE(c)) {
+            fresh = 0;
+            lines += c != '#';
+        }
+    }
+    if (n >= INT_MAX || lines >= INT_MAX / 4)
+        return 0; /* beyond the kernel's int sizes; the Python parser decides */
+    while (lcap < 4 * lines)
+        lcap *= 2;
+    while (pcap < 2 * lines)
+        pcap *= 2;
+    p->lmask = lcap - 1;
+    p->pmask = pcap - 1;
+    p->labels = malloc(sizeof(Label) * 2 * lines);
+    p->slots = calloc(lcap, sizeof(int));
+    p->pairs = calloc(pcap, sizeof(uint64_t));
+    p->eu = malloc(sizeof(int) * lines);
+    p->ev = malloc(sizeof(int) * lines);
+    if (!p->labels || !p->slots || !p->pairs || !p->eu || !p->ev) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t line = 1; i <= n; line++, i++) { /* i: the line's first character */
+        int tokens = 0;
+        Py_UCS4 c = 0;
+        if ((line & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
+            return -1;
+        while (i < n && !is_break(c = PyUnicode_READ(p->kind, p->data, i))) {
+            if (Py_UNICODE_ISSPACE(c)) {
+                i++;
+                continue;
+            }
+            if (tokens == 0 && c == '#') { /* a comment: skip to the line's end */
+                while (i < n && !is_break(PyUnicode_READ(p->kind, p->data, i)))
+                    i++;
+                break;
+            }
+            if (tokens == 2)
+                return 0;
+            Label *t = &tok[tokens++];
+            t->start = i;
+            t->hash = 0xCBF29CE484222325ull; /* FNV-1a over the code points */
+            for (; i < n && !Py_UNICODE_ISSPACE(c = PyUnicode_READ(p->kind, p->data, i)); i++)
+                t->hash = (t->hash ^ c) * 0x100000001B3ull;
+            t->len = (int)(i - t->start);
+        }
+        if (tokens == 1)
+            return 0;
+        if (tokens == 2) {
+            int u = intern(p, &tok[0]);
+            int v = intern(p, &tok[1]);
+            if (u == v || !add_pair(p, u, v))
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* A new list of the ints xs[0..count). */
+static PyObject *int_list(const int *xs, int count)
+{
+    PyObject *list = PyList_New(count);
+    for (int i = 0; list != NULL && i < count; i++) {
+        PyObject *x = PyLong_FromLong(xs[i]);
+        if (x == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, x);
+    }
+    return list;
+}
+
+PyDoc_STRVAR(parse_doc,
+"parse(text) -> (labels, eu, ev) or None\n\n"
+"Parse an edge list as indmatch/edgelist.py: parse_edge_list_python\n"
+"does: lines and tokens split as str.splitlines() and str.split() split\n"
+"them, blank lines and lines starting with `#` skipped, labels numbered\n"
+"in order of first appearance.  Returns the labels as a list of str and\n"
+"the edges' endpoint ids as two lists of int, or None when `text` is\n"
+"not an exact str, a line is not two labels, an edge is a self-loop or\n"
+"repeats an earlier pair, or the graph is too large for int ids; the\n"
+"Python parser then reports the error.");
+
+static PyObject *parse(PyObject *Py_UNUSED(self), PyObject *text)
+{
+    Ingest p = {0};
+    PyObject *labels = NULL, *eu = NULL, *ev = NULL, *res = NULL;
+    if (!PyUnicode_CheckExact(text))
+        Py_RETURN_NONE;
+    p.kind = PyUnicode_KIND(text);
+    p.data = PyUnicode_DATA(text);
+    int status = ingest(&p, text);
+    if (status == 0) {
+        ingest_free(&p);
+        Py_RETURN_NONE;
+    }
+    if (status > 0 && (labels = PyList_New(p.nlabels)) != NULL) {
+        for (int i = 0; i < p.nlabels; i++) {
+            Label *l = &p.labels[i];
+            PyObject *x = PyUnicode_Substring(text, l->start, l->start + l->len);
+            if (x == NULL) {
+                Py_CLEAR(labels);
+                break;
+            }
+            PyList_SET_ITEM(labels, i, x);
+        }
+    }
+    if (labels != NULL && (eu = int_list(p.eu, p.m)) != NULL && (ev = int_list(p.ev, p.m)) != NULL)
+        res = PyTuple_Pack(3, labels, eu, ev);
+    Py_XDECREF(labels);
+    Py_XDECREF(eu);
+    Py_XDECREF(ev);
+    ingest_free(&p);
+    return res;
+}
+
 /* -- module ---------------------------------------------------------- */
 
 PyDoc_STRVAR(run_doc,
@@ -975,14 +1176,15 @@ static PyObject *c4free(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwa
 static PyMethodDef methods[] = {
     {"run", (PyCFunction)(void (*)(void))run, METH_VARARGS | METH_KEYWORDS, run_doc},
     {"c4free", (PyCFunction)(void (*)(void))c4free, METH_VARARGS | METH_KEYWORDS, c4free_doc},
+    {"parse", parse, METH_O, parse_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "indmatch._fastcore",
-    .m_doc = "Native kernel of the C4-free and general partition enumerators\n"
-             "and of the C4-freeness check.",
+    .m_doc = "Native kernel of the C4-free and general partition enumerators,\n"
+             "the C4-freeness check and the edge-list parser.",
     .m_size = -1,
     .m_methods = methods,
 };

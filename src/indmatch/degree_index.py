@@ -5,9 +5,10 @@ doubly-linked list.  The pivot query reads the tail of the highest
 nonempty bucket, so ties go to the most recently inserted vertex and
 enumeration order is deterministic.
 
-The cached highest-nonempty-bucket position only walks downward after a
-removal empties the top bucket; each step of that walk is paid for by
-an earlier edge deletion, so maintenance stays amortized O(1).
+Degrees change by one at a time, and a vertex whose degree drops is
+re-inserted one bucket lower before the cached highest-nonempty-bucket
+position walks down over emptied buckets, so that walk stops after at
+most one step: every degree change is O(1) in the worst case.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class DegreeIndex:
         if d > self.max_nonempty:
             self.max_nonempty = d
 
-    def _unlink(self, v: int, scan: bool = True) -> None:
+    def _unlink(self, v: int) -> None:
         d = self.bucket[v]
         p, n = self.bprv[v], self.bnxt[v]
         if p == -1:
@@ -63,17 +64,17 @@ class DegreeIndex:
         else:
             self.bprv[n] = p
         self.bucket[v] = -1
-        if scan and d == self.max_nonempty and self.bhead[d] == -1:
-            while self.max_nonempty >= 0 and self.bhead[self.max_nonempty] == -1:
-                self.max_nonempty -= 1
 
     # -- graph hooks --------------------------------------------------
 
     def on_degree_change(self, v: int, old: int, new: int) -> None:
-        # A restore moves v upward and will re-raise the cached maximum
-        # itself, so the downward scan is skipped in that direction.
-        self._unlink(v, scan=new < old)
+        # A restore re-raises the cached maximum in the insert.  After a
+        # removal v already sits in bucket `new`, so the scan stops there.
+        self._unlink(v)
         self._insert(v, new)
+        if new < old:
+            while self.bhead[self.max_nonempty] == -1:
+                self.max_nonempty -= 1
 
     # -- queries ------------------------------------------------------
 

@@ -17,8 +17,30 @@ from typing import Callable, Iterable
 from .errors import ParseError
 from .graph import DynamicGraph, build_graph
 
+try:
+    from . import _fastcore
+except ImportError:  # pure-Python fallback only
+    _fastcore = None
+
 
 def parse_edge_list(text: str) -> DynamicGraph:
+    """Parse an edge list into a graph, labels as str.
+
+    Runs in the native kernel when it is built.  On input the kernel
+    rejects (a line that is not two labels, a self-loop, a repeated
+    pair) it returns no graph, and `parse_edge_list_python` parses the
+    text again to raise the error, so both give the same graph or the
+    same exception.
+    """
+    parsed = None if _fastcore is None else _fastcore.parse(text)
+    if parsed is None:
+        return parse_edge_list_python(text)
+    labels, eu, ev = parsed
+    return DynamicGraph.from_arrays(len(labels), eu, ev, labels)
+
+
+def parse_edge_list_python(text: str) -> DynamicGraph:
+    """The pure-Python parser, and the reference for the native one."""
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

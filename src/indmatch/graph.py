@@ -27,7 +27,8 @@ class DynamicGraph:
     over "arcs" (edge endpoints): edge e owns arcs 2e and 2e+1.  Edge
     removal unlinks both arcs in O(1); restoration relinks them using
     their retained prev/next fields, which is correct because removals
-    are undone in LIFO order.
+    are undone in LIFO order.  The lists (`head`, `nxt`, `prv`) and
+    `degree` are built from `eu`/`ev` on first access.
     """
 
     __slots__ = (
@@ -47,24 +48,47 @@ class DynamicGraph:
     )
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]], labels=None):
-        m = len(edges)
+        self._init(n, [u for u, _ in edges], [v for _, v in edges], labels)
+
+    @classmethod
+    def from_arrays(cls, n: int, eu: list[int], ev: list[int], labels=None) -> "DynamicGraph":
+        """The graph whose edge e is (eu[e], ev[e]); takes the lists over."""
+        g = cls.__new__(cls)
+        g._init(n, eu, ev, labels)
+        return g
+
+    def _init(self, n: int, eu: list[int], ev: list[int], labels) -> None:
+        m = len(eu)
         self.n = n
         self.m = m
-        self.eu = [u for u, _ in edges]
-        self.ev = [v for _, v in edges]
+        self.eu = eu
+        self.ev = ev
         self.labels = labels if labels is not None else list(range(n))
         self.alive_edge = bytearray([1]) * m
         self.undo_log: list[int] = []
         self.live_edge_count = m
         self.listener = None
+
+    def __getattr__(self, name: str):
+        # The adjacency lists and degrees are built on first use: the
+        # native kernel builds its own from eu/ev, so a graph that only
+        # goes to it never needs them.  Every mutation reads them, so they
+        # are built while all edges are still alive.
+        if name not in ("head", "nxt", "prv", "degree"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._link()
+        return object.__getattribute__(self, name)
+
+    def _link(self) -> None:
         # Arcs 2e (at u) and 2e+1 (at v) are linked in ascending order,
         # each at the front of its vertex's list.
+        n, m = self.n, self.m
         head = [-1] * n
         nxt = [-1] * (2 * m)
         prv = [0] * (2 * m)
         degree = [0] * n
         arc = 0
-        for u, v in edges:
+        for u, v in zip(self.eu, self.ev):
             for w in (u, v):
                 h = head[w]
                 nxt[arc] = h
@@ -168,7 +192,8 @@ def build_graph(edge_pairs: Iterable[tuple[Hashable, Hashable]]) -> DynamicGraph
     follow input order.  Raises SelfLoop / DuplicateEdge on bad input.
     """
     ids: dict[Hashable, int] = {}
-    edges: list[tuple[int, int]] = []
+    eu: list[int] = []
+    ev: list[int] = []
     seen: set[tuple[int, int]] = set()
     for a, b in edge_pairs:
         if a == b:
@@ -179,9 +204,10 @@ def build_graph(edge_pairs: Iterable[tuple[Hashable, Hashable]]) -> DynamicGraph
         if key in seen:
             raise DuplicateEdge(f"edge ({a!r}, {b!r}) repeats an earlier pair")
         seen.add(key)
-        edges.append((u, v))
+        eu.append(u)
+        ev.append(v)
     labels = list(ids)
-    return DynamicGraph(len(labels), edges, labels)
+    return DynamicGraph.from_arrays(len(labels), eu, ev, labels)
 
 
 def is_induced_matching(g: DynamicGraph, matching: Matching) -> bool:

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indmatch import DegreeIndex, DynamicGraph
+from indmatch import DegreeIndex, DynamicGraph, EnumConfig, enumerate_with_stats
+from indmatch import enumerate as engines
 
 from conftest import path_graph, random_graph, star_graph
 
@@ -71,3 +72,31 @@ def test_consistency_under_random_ops(seed, choices):
         if top > 0:
             v = idx.max_degree_vertex()
             assert g.degree[v] == top
+
+
+def test_top_bucket_scan_is_constant_per_removal_on_a_star(monkeypatch):
+    # The scan for the highest nonempty bucket is the only reader of
+    # `bhead`.  On a star the hub's degree falls one step at a time from
+    # the top; a scan that ran before the hub was re-inserted one bucket
+    # lower walked down over every empty bucket to the leaves' bucket
+    # each time, about k*k/2 probes for k leaves.
+    k = 10_000
+    probes = [0]
+
+    class CountingHeads(list):
+        def __getitem__(self, d):
+            probes[0] += 1
+            # stop early where the walk is quadratic
+            assert probes[0] <= 100 * k, "top-bucket scan over budget"
+            return list.__getitem__(self, d)
+
+    class CountingIndex(DegreeIndex):
+        def __init__(self, g):
+            super().__init__(g)
+            self.bhead = CountingHeads(self.bhead)
+
+    monkeypatch.setattr(engines, "DegreeIndex", CountingIndex)
+    count, stats = enumerate_with_stats(star_graph(k + 1), EnumConfig(algorithm="c4free", backend="python"))
+    assert count == k + 1
+    assert stats.edge_deletions == stats.edge_restorations == k
+    assert probes[0] <= 2 * (stats.edge_deletions + stats.edge_restorations)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indmatch import DynamicGraph, build_graph, is_induced_matching
+from indmatch import DynamicGraph, build_graph, is_induced_matching, parse_edge_list
 from indmatch.errors import DuplicateEdge, EdgeNotAlive, SelfLoop, StaleMark, UnknownEdge
 
 from conftest import graph_state, path_graph, random_graph
@@ -60,6 +60,22 @@ class TestAdjacency:
         assert g.prv == [5, 2, 10, 4, 6, -1, -3, 8, -4, 11, -2, -5]
         assert g.degree == [2, 3, 3, 2, 2]
         assert g.adjacency_sets() == [{0, 2}, {0, 1, 5}, {1, 2, 3}, {3, 4}, {4, 5}]
+        # a parsed graph builds the same layout on first access, and a
+        # removal and rollback on a graph whose lists were never read
+        # come back to it
+        text = "0 1\n1 2\n2 0\n2 3\n3 4\n1 4\n"
+        parsed = parse_edge_list(text)
+        for name in ("head", "nxt", "prv", "degree"):
+            with pytest.raises(AttributeError):
+                getattr(DynamicGraph, name).__get__(parsed)  # not built yet
+        assert (parsed.head, parsed.nxt, parsed.prv, parsed.degree) == (g.head, g.nxt, g.prv, g.degree)
+        fresh = parse_edge_list(text)
+        fresh.remove_edge(1)
+        fresh.remove_edge(5)
+        assert fresh.adjacency_sets() == [{0, 2}, {0}, {2, 3}, {3, 4}, {4}]
+        assert fresh.degree == [2, 1, 2, 2, 1]
+        fresh.rollback(0)
+        assert graph_state(fresh) == graph_state(g)
 
 
 class TestRemoveRollback:

@@ -1,6 +1,7 @@
 """The native kernel builds from source with warnings as errors, and the
 build gives the same solution streams and counters as the Python engines,
-the same CLI output bytes, and stops on Ctrl-C.
+the same C4 checks and parsed graphs as the Python references, the same
+CLI output bytes, and stops on Ctrl-C.
 
 The extension is compiled once by the project's own `setup.py` into a
 temporary directory, next to a copy of the package's Python files, and
@@ -132,6 +133,67 @@ for args in BAD:
 # only live edges count: a removed parallel edge is no error
 assert _fastcore.c4free(2, [0, 1], [1, 0], b"\1\0") is True
 print("c4 checks identical")
+
+# The edge-list parser: kernel and Python reference give the same graph
+# or the same exception, on texts over every line boundary and every
+# whitespace character Python knows; the kernel itself parses exactly
+# the texts the reference accepts.
+from indmatch import parse_edge_list, serialize_edge_list
+from indmatch.edgelist import parse_edge_list_python
+from indmatch.errors import DuplicateEdge, ParseError, SelfLoop
+
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u1680", *map(chr, range(0x2000, 0x200b)), "\u202f",
+          "\u205f", "\u3000"]
+# prefixes of each other, multi-byte, `#` inside a label, characters that
+# are not whitespace (U+200B, U+FEFF) and a lone surrogate
+WORDS = ["a", "b", "ab", "1", "01", "10", "#b", "a#", "x-y", "\u00e9", "e\u0301", "\u65e5\u672c",
+         "\U0001d538", "\u200b", "\ufeff", "\ud800"]
+
+def outcome(parse, text):
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.n, g.eu, g.ev, g.labels
+
+def gaps(lo, hi, pool):
+    return "".join(rng.choice(pool) for _ in range(rng.randint(lo, hi)))
+
+def random_text():
+    lines = ["\ufeff"] if rng.random() < 0.2 else []
+    for _ in range(rng.randint(0, 8)):
+        tokens = [rng.choice(WORDS) + rng.choice([""] * 3 + WORDS)
+                  for _ in range(rng.choice((2, 2, 2, 2, 0, 1, 3)))]
+        if rng.random() < 0.15:
+            tokens.insert(0, rng.choice(("#", "#c")))  # a comment, indented or not
+        sep = gaps(1, 2, SPACES + BREAKS[:1])  # now and then a line boundary mid-line
+        lines.append(gaps(0, 2, SPACES) + sep.join(tokens) + gaps(0, 2, SPACES))
+    text = "".join(line + rng.choice(BREAKS) for line in lines)
+    return text.rstrip("".join(BREAKS)) if rng.random() < 0.3 else text  # last line unterminated
+
+seen = set()
+texts = [random_text() for _ in range(600)]
+texts += ["", "\n", "a b", "a b\n", " # a b c\n", "a #b\n", "1 2\n01 2\n", "a b\nb a\n", "a a\n",
+          "a b c\n", "a\n", "a\x1cb\n", "a\x1fb\n", "\ufeffa b\n", "\ud800 a\n",
+          serialize_edge_list(generate(GenSpec(family="randomgirth5", n=3000, m=3600, seed=1)))]
+for text in texts:
+    want = outcome(parse_edge_list_python, text)
+    assert outcome(parse_edge_list, text) == want, (text, want)
+    native = _fastcore.parse(text)
+    if isinstance(want[0], type):
+        assert native is None, (text, want)
+        seen.add(want[0])
+    else:
+        assert native == (want[3], want[1], want[2]), (text, native, want)
+        seen.add("ok")
+assert seen == {"ok", ParseError, SelfLoop, DuplicateEdge}, seen
+# no str, no kernel: other types and str subclasses go to the reference
+class Text(str):
+    pass
+assert _fastcore.parse(b"a b\n") is None and _fastcore.parse(Text("a b\n")) is None
+assert outcome(parse_edge_list, b"a b\n") == outcome(parse_edge_list_python, b"a b\n")
+print("parses identical")
 """
 
 
@@ -254,6 +316,7 @@ def test_kernel_builds_cleanly_and_matches_python(built, tmp_path):
     assert check.returncode == 0, check.stdout + check.stderr
     assert "runs identical" in check.stdout
     assert "c4 checks identical" in check.stdout
+    assert "parses identical" in check.stdout
 
 
 def test_cli_lines_match_python_and_brute(built, tmp_path):
