@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from ._record import Record
 from .errors import InfeasibleSpec
 from .graph import DynamicGraph
 
@@ -84,7 +82,7 @@ def is_c4_free_python(g: DynamicGraph) -> bool:
     return True
 
 
-def girth(g: DynamicGraph) -> Optional[int]:
+def girth(g: DynamicGraph) -> int | None:
     """Length of a shortest cycle in the live graph, None for forests.
 
     BFS from every vertex; any non-tree edge seen from u to an already
@@ -92,7 +90,7 @@ def girth(g: DynamicGraph) -> Optional[int]:
     root, which is an upper bound on the girth and tight for a root on
     a shortest cycle.
     """
-    best: Optional[int] = None
+    best: int | None = None
     dist = [-1] * g.n
     for s in range(g.n):
         for i in range(g.n):
@@ -120,12 +118,23 @@ def girth(g: DynamicGraph) -> Optional[int]:
     return best
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    family: str
-    n: int
-    m: Optional[int] = None
-    seed: int = 0
+class GenSpec(Record):
+    """A graph family with its size and seed; immutable and hashable."""
+
+    __slots__ = ("family", "n", "m", "seed")
+
+    def __init__(self, family: str, n: int, m: int | None = None, seed: int = 0):
+        for name, value in zip(self.__slots__, (family, n, m, seed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GenSpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GenSpec is immutable; cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def generate(spec: GenSpec) -> DynamicGraph:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
 
-from . import analysis, edgelist, stats
+from . import analysis, edgelist
 from .enumerate import CountingSink, EnumConfig, enumerate_solutions
 from .errors import IndmatchError, NotC4Free, ParseError, TooLargeForOracle
 
@@ -20,11 +19,18 @@ EXIT_ORACLE_GUARD = 4
 EXIT_BROKEN_PIPE = 141
 
 
+def _read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 raises `ParseError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _read_graph(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return edgelist.parse_edge_list(text)
+        return edgelist.parse_edge_list(_read_text(path))
     except (OSError, IndmatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
@@ -111,7 +117,7 @@ def _parse_spec_file(text: str) -> list[analysis.GenSpec]:
         try:
             if len(tokens) == 3:
                 family, n, seed = tokens[0], int(tokens[1]), int(tokens[2])
-                m: Optional[int] = None
+                m: int | None = None
             elif len(tokens) == 4:
                 family, n, m, seed = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
             else:
@@ -125,9 +131,10 @@ def _parse_spec_file(text: str) -> list[analysis.GenSpec]:
 
 
 def cmd_bench(args) -> int:
+    from . import stats  # only this subcommand runs the harness
+
     try:
-        with open(args.spec_file, "r", encoding="utf-8") as fh:
-            specs = _parse_spec_file(fh.read())
+        specs = _parse_spec_file(_read_text(args.spec_file))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

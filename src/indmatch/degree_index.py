@@ -13,8 +13,6 @@ most one step: every degree change is O(1) in the worst case.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .graph import DynamicGraph
 
 
@@ -78,7 +76,7 @@ class DegreeIndex:
 
     # -- queries ------------------------------------------------------
 
-    def max_degree_vertex(self) -> Optional[int]:
+    def max_degree_vertex(self) -> int | None:
         """A vertex of current maximum degree, or None if all degrees are 0."""
         if self.max_nonempty <= 0:
             return None

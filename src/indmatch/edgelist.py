@@ -12,7 +12,7 @@ writes the same bytes as `solution_line`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import ParseError
 from .graph import DynamicGraph, build_graph

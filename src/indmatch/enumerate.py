@@ -25,14 +25,12 @@ stops after delivering that many solutions.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
 
-from .degree_index import DegreeIndex
+from ._record import Record
 from .edgelist import LineSink
 from .errors import NotC4Free, TooLargeForOracle
 from .graph import DynamicGraph
-from .neighborhood import Classifier, check_c4free_local, sect2
 
 try:
     from . import _fastcore
@@ -46,12 +44,20 @@ def native_available() -> bool:
     return _fastcore is not None
 
 
-@dataclass
-class EnumConfig:
-    algorithm: str = "auto"  # auto | brute | general | c4free
-    assertion_mode: bool = False
-    solution_cutoff: Optional[int] = None
-    backend: str = "auto"  # auto | python | native
+class EnumConfig(Record):
+    __slots__ = ("algorithm", "assertion_mode", "solution_cutoff", "backend")
+
+    def __init__(
+        self,
+        algorithm: str = "auto",  # auto | brute | general | c4free
+        assertion_mode: bool = False,
+        solution_cutoff: int | None = None,
+        backend: str = "auto",  # auto | python | native
+    ):
+        self.algorithm = algorithm
+        self.assertion_mode = assertion_mode
+        self.solution_cutoff = solution_cutoff
+        self.backend = backend
 
 
 class CountingSink:
@@ -64,7 +70,7 @@ class CountingSink:
 
     __slots__ = ("count", "cutoff", "cutoff_applied")
 
-    def __init__(self, cutoff: Optional[int] = None):
+    def __init__(self, cutoff: int | None = None):
         self.count = 0
         self.cutoff = cutoff
         self.cutoff_applied = False
@@ -87,7 +93,7 @@ class ListSink:
         return True
 
 
-def resolve_algorithm(g: DynamicGraph, config: Optional[EnumConfig]) -> str:
+def resolve_algorithm(g: DynamicGraph, config: EnumConfig | None) -> str:
     from .analysis import is_c4_free
 
     algo = config.algorithm if config else "auto"
@@ -110,7 +116,7 @@ def enumerate_brute(g: DynamicGraph, sink: Sink) -> int:
     return _run(g, sink, None, "brute")
 
 
-def _run_brute(g: DynamicGraph, sink: Sink, cutoff: Optional[int]) -> int:
+def _run_brute(g: DynamicGraph, sink: Sink, cutoff: int | None) -> int:
     live = g.live_edges()
     k = len(live)
     if k > 25:
@@ -153,10 +159,17 @@ def _run_brute(g: DynamicGraph, sink: Sink, cutoff: Optional[int]) -> int:
 class _PartitionRun:
     """State of one partition enumeration over a borrowed graph."""
 
-    def __init__(self, g: DynamicGraph, sink: Sink, cutoff: Optional[int], assertion_mode: bool, stats):
+    def __init__(self, g: DynamicGraph, sink: Sink, cutoff: int | None, assertion_mode: bool, stats):
+        # The Python engine's modules load with its first run, so that
+        # importing the package for the native engine does not compile them.
+        from .degree_index import DegreeIndex
+        from .neighborhood import Classifier, check_c4free_local, sect2
+
         self.g = g
         self.idx = DegreeIndex(g)
         self.cls = Classifier(g)
+        self.sect2 = sect2
+        self.check_c4free_local = check_c4free_local
         self.sink = sink
         self.cutoff = cutoff
         self.assertion_mode = assertion_mode
@@ -169,7 +182,7 @@ class _PartitionRun:
         self.emark = [0] * g.m
         self.epoch = 0
         self.entry_alive = bytes(g.alive_edge)
-        self.static_adj: Optional[list[list[tuple[int, int]]]] = None
+        self.static_adj: list[list[tuple[int, int]]] | None = None
 
     def emit(self, matching: list[int]) -> None:
         self.solutions += 1
@@ -203,7 +216,7 @@ class _PartitionRun:
 
     # -- C4-free multi-way partition ----------------------------------
 
-    def rec_c4free(self, matching: list[int], parent_alive: Optional[bytes]) -> None:
+    def rec_c4free(self, matching: list[int], parent_alive: bytes | None) -> None:
         if self.enter():
             self.emit(matching)
             return
@@ -224,7 +237,7 @@ class _PartitionRun:
             st.sect_sum_total += sect_sum
             st.d2_total += len(c.d2)
         if self.assertion_mode:
-            violations = check_c4free_local(c)
+            violations = self.check_c4free_local(c)
             if violations:
                 if st is not None:
                     for kind, _ in violations:
@@ -247,7 +260,7 @@ class _PartitionRun:
         self.removed(len(c.d11) + len(c.d12))
         for e in c.d01:
             mi = g.mark()
-            sect = sect2(c, e)
+            sect = self.sect2(c, e)
             for f in sect:
                 g.remove_edge(f)
             self.removed(len(sect))
@@ -383,7 +396,7 @@ def _run_native(g, sink, algo, cutoff, stats) -> int:
     return res["solutions"]
 
 
-def _run(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig], algo: str, stats=None) -> int:
+def _run(g: DynamicGraph, sink: Sink, config: EnumConfig | None, algo: str, stats=None) -> int:
     config = config or EnumConfig()
     cutoff = config.solution_cutoff
     if isinstance(sink, CountingSink) and sink.cutoff is not None:
@@ -408,22 +421,22 @@ def _run(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig], algo: str, s
     return count
 
 
-def enumerate_general(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig] = None) -> int:
+def enumerate_general(g: DynamicGraph, sink: Sink, config: EnumConfig | None = None) -> int:
     """Binary partition enumeration for arbitrary graphs."""
     return _run(g, sink, config, "general")
 
 
-def enumerate_c4free(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig] = None) -> int:
+def enumerate_c4free(g: DynamicGraph, sink: Sink, config: EnumConfig | None = None) -> int:
     """Multi-way partition enumeration; the caller vouches g is C4-free."""
     return _run(g, sink, config, "c4free")
 
 
-def enumerate_solutions(g: DynamicGraph, sink: Sink, config: Optional[EnumConfig] = None, stats=None) -> int:
+def enumerate_solutions(g: DynamicGraph, sink: Sink, config: EnumConfig | None = None, stats=None) -> int:
     """Run the configured engine (resolving `auto`) against `sink`."""
     return _run(g, sink, config, resolve_algorithm(g, config), stats)
 
 
-def count_induced_matchings(g: DynamicGraph, config: Optional[EnumConfig] = None) -> int:
+def count_induced_matchings(g: DynamicGraph, config: EnumConfig | None = None) -> int:
     """Count solutions by enumeration with a counting sink."""
     sink = CountingSink()
     enumerate_solutions(g, sink, config)

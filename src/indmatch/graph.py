@@ -9,7 +9,7 @@ adjacency structure.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 from .errors import DuplicateEdge, EdgeNotAlive, SelfLoop, StaleMark, UnknownEdge
 
@@ -104,9 +104,6 @@ class DynamicGraph:
         self.degree = degree
 
     # -- queries ------------------------------------------------------
-
-    def edge(self, e: int) -> tuple[int, int]:
-        return self.eu[e], self.ev[e]
 
     def iter_incident(self, v: int) -> Iterator[tuple[int, int]]:
         """Yield (edge id, other endpoint) for every alive edge at v."""

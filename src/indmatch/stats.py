@@ -8,10 +8,11 @@ assert on C4-free inputs.
 
 from __future__ import annotations
 
+import statistics
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .analysis import GenSpec, generate
 from .enumerate import CountingSink, EnumConfig, Sink, enumerate_solutions
 from .graph import DynamicGraph
@@ -19,31 +20,79 @@ from .graph import DynamicGraph
 CSV_HEADER = "family,n,m,algorithm,solutions,iterations,wall_time_ns,ns_per_solution,deletions,cutoff_applied"
 
 
-@dataclass
-class EnumStats:
-    iterations: int = 0
-    internal_iterations: int = 0
-    solutions: int = 0
-    max_depth: int = 0
-    edge_deletions: int = 0
-    edge_restorations: int = 0
-    sect_sum_total: int = 0
-    d2_total: int = 0
-    lemma_violations: dict = field(default_factory=dict)
+class EnumStats(Record):
+    __slots__ = (
+        "iterations",
+        "internal_iterations",
+        "solutions",
+        "max_depth",
+        "edge_deletions",
+        "edge_restorations",
+        "sect_sum_total",
+        "d2_total",
+        "lemma_violations",
+    )
+
+    def __init__(
+        self,
+        iterations: int = 0,
+        internal_iterations: int = 0,
+        solutions: int = 0,
+        max_depth: int = 0,
+        edge_deletions: int = 0,
+        edge_restorations: int = 0,
+        sect_sum_total: int = 0,
+        d2_total: int = 0,
+        lemma_violations: dict | None = None,
+    ):
+        self.iterations = iterations
+        self.internal_iterations = internal_iterations
+        self.solutions = solutions
+        self.max_depth = max_depth
+        self.edge_deletions = edge_deletions
+        self.edge_restorations = edge_restorations
+        self.sect_sum_total = sect_sum_total
+        self.d2_total = d2_total
+        self.lemma_violations = {} if lemma_violations is None else lemma_violations
 
 
-@dataclass
-class BenchRow:
-    family: str
-    n: int
-    m: int
-    algorithm: str
-    solutions: int
-    iterations: int
-    wall_time_ns: int
-    ns_per_solution: float
-    deletions: int
-    cutoff_applied: bool
+class BenchRow(Record):
+    __slots__ = (
+        "family",
+        "n",
+        "m",
+        "algorithm",
+        "solutions",
+        "iterations",
+        "wall_time_ns",
+        "ns_per_solution",
+        "deletions",
+        "cutoff_applied",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        n: int,
+        m: int,
+        algorithm: str,
+        solutions: int,
+        iterations: int,
+        wall_time_ns: int,
+        ns_per_solution: float,
+        deletions: int,
+        cutoff_applied: bool,
+    ):
+        self.family = family
+        self.n = n
+        self.m = m
+        self.algorithm = algorithm
+        self.solutions = solutions
+        self.iterations = iterations
+        self.wall_time_ns = wall_time_ns
+        self.ns_per_solution = ns_per_solution
+        self.deletions = deletions
+        self.cutoff_applied = cutoff_applied
 
     def csv_line(self) -> str:
         return (
@@ -55,8 +104,8 @@ class BenchRow:
 
 def enumerate_with_stats(
     g: DynamicGraph,
-    config: Optional[EnumConfig] = None,
-    sink: Optional[Sink] = None,
+    config: EnumConfig | None = None,
+    sink: Sink | None = None,
 ) -> tuple[int, EnumStats]:
     """Run the configured enumerator while collecting counters.
 
@@ -78,7 +127,7 @@ def enumerate_with_stats(
 def bench(
     specs: Sequence[GenSpec],
     algorithms: Sequence[str],
-    cutoff: Optional[int] = None,
+    cutoff: int | None = None,
     repeats: int = 3,
     backend: str = "auto",
 ) -> list[BenchRow]:
@@ -88,8 +137,6 @@ def bench(
     `repeats` times with a counting sink honoring `cutoff`; rows come
     out in input order.
     """
-    import statistics  # here, not at the top: it costs every CLI start ~5 ms
-
     rows: list[BenchRow] = []
     for spec in specs:
         g = generate(spec)

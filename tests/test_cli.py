@@ -109,6 +109,15 @@ class TestEnumerate:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
 
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff\xfe a b\n")
+        for command in (["enumerate"], ["check"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, str(path)])
+            assert exc.value.code == EXIT_PARSE
+            assert capsys.readouterr() == ("", f"error: {path} is not UTF-8 text (invalid start byte)\n")
+
     @pytest.mark.parametrize("backend", ["python", "auto"])
     def test_backend_flag(self, tmp_path, capsys, backend):
         path = write(tmp_path, "p4.txt", P4)
@@ -160,3 +169,45 @@ class TestBench:
     def test_unknown_family(self, tmp_path, capsys):
         specs = write(tmp_path, "specs.txt", "clique 8 0\n")
         assert main(["bench", "--spec-file", specs, "-"]) == EXIT_PARSE
+
+    def test_spec_file_that_is_not_utf8(self, tmp_path, capsys):
+        specs = tmp_path / "specs.txt"
+        specs.write_bytes(b"cycle 8 0\n\xff\n")
+        assert main(["bench", "--spec-file", str(specs), "-"]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestImportSurface:
+    # what `import indmatch.cli` must not load: the Python engine, the
+    # benchmark harness, and the modules whose import dominated start-up
+    UNUSED_ON_THE_NATIVE_PATH = {"dataclasses", "inspect", "typing", "indmatch.degree_index",
+                                 "indmatch.neighborhood", "indmatch.stats"}
+
+    def test_cli_imports_only_what_it_runs(self):
+        # -S: no site hooks, which could import `typing` themselves
+        path = str(Path(indmatch.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", "import indmatch.cli"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:") and line.count("|") == 2}
+        assert "indmatch.cli" in loaded
+        assert not loaded & self.UNUSED_ON_THE_NATIVE_PATH
+
+    def test_every_export_resolves(self):
+        assert indmatch.__all__ == [
+            "BenchRow", "Classifier", "CountingSink", "DegreeIndex", "DynamicGraph",
+            "EnumConfig", "EnumStats", "GenSpec", "LineSink", "ListSink", "bench",
+            "build_graph", "check_c4free_local", "count_induced_matchings",
+            "enumerate_brute", "enumerate_c4free", "enumerate_general",
+            "enumerate_solutions", "enumerate_with_stats", "generate", "girth",
+            "is_c4_free", "is_induced_matching", "native_available", "parse_edge_list",
+            "rows_to_csv", "sect2", "serialize_edge_list", "solution_line",
+        ]
+        for name in indmatch.__all__:
+            value = getattr(indmatch, name)
+            assert value.__name__ == name
+            assert value.__module__.startswith("indmatch.")
+        with pytest.raises(AttributeError):
+            indmatch.no_such_name

@@ -1,10 +1,12 @@
 """Instrumentation counters, their invariants, and the benchmark harness."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
-from indmatch import DynamicGraph, EnumConfig, GenSpec, bench, is_c4_free, rows_to_csv
+from indmatch import BenchRow, DynamicGraph, EnumConfig, EnumStats, GenSpec, bench, is_c4_free, rows_to_csv
 from indmatch.enumerate import native_available
 from indmatch.stats import CSV_HEADER, enumerate_with_stats
 
@@ -108,3 +110,50 @@ class TestBench:
             rn.iterations,
             rn.deletions,
         )
+
+
+class TestValueClasses:
+    """`EnumConfig`, `GenSpec`, `EnumStats` and `BenchRow` as values."""
+
+    def test_construction_defaults_and_repr(self):
+        assert EnumConfig("c4free", False, 5) == EnumConfig(algorithm="c4free", solution_cutoff=5)
+        assert repr(EnumConfig()) == (
+            "EnumConfig(algorithm='auto', assertion_mode=False, solution_cutoff=None, backend='auto')"
+        )
+        assert repr(GenSpec("path", 5)) == "GenSpec(family='path', n=5, m=None, seed=0)"
+        assert repr(EnumStats(solutions=2)) == (
+            "EnumStats(iterations=0, internal_iterations=0, solutions=2, max_depth=0, "
+            "edge_deletions=0, edge_restorations=0, sect_sum_total=0, d2_total=0, lemma_violations={})"
+        )
+        row = BenchRow("cycle", 8, 8, "c4free", 47, 93, 1000, 21.3, 92, False)
+        assert row == BenchRow(family="cycle", n=8, m=8, algorithm="c4free", solutions=47, iterations=93,
+                               wall_time_ns=1000, ns_per_solution=21.3, deletions=92, cutoff_applied=False)
+        assert repr(row).startswith("BenchRow(family='cycle', n=8, m=8, ")
+        with pytest.raises(TypeError):
+            GenSpec("path")
+
+    def test_equality_is_by_class_and_fields(self):
+        a, b = EnumStats(), EnumStats()
+        assert a == b and a.lemma_violations is not b.lemma_violations
+        b.lemma_violations["kind"] = 1
+        assert a != b
+        assert EnumStats() != EnumConfig()
+        assert GenSpec("path", 5) != ("path", 5, None, 0)
+        with pytest.raises(TypeError):
+            hash(EnumStats())
+
+    def test_genspec_is_hashable_and_immutable(self):
+        spec = GenSpec("randomgirth5", 20, 24, seed=9)
+        assert hash(spec) == hash(GenSpec(family="randomgirth5", n=20, m=24, seed=9))
+        assert len({spec, GenSpec("randomgirth5", 20, 24, 9), GenSpec("path", 20)}) == 2
+        with pytest.raises(AttributeError):
+            spec.n = 21
+        with pytest.raises(AttributeError):
+            del spec.seed
+        assert (spec.n, spec.seed) == (20, 9)
+
+    def test_copy_and_pickle(self):
+        for value in (EnumConfig(backend="python"), GenSpec("star", 6), EnumStats(iterations=3),
+                      BenchRow("path", 6, 5, "general", 13, 25, 7, 0.5, 24, True)):
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.deepcopy(value) == value == copy.copy(value)
