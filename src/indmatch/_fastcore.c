@@ -7,16 +7,26 @@
    solution streams and identical counters.  Structural assertion checks
    stay in the Python engine; this module only enumerates and counts.
 
-   With vertex labels given, the kernel also renders each solution's
-   canonical line (indmatch/edgelist.py: solution_line) into a byte
-   buffer and hands the buffer to a Python writer once per chunk.
+   Entry points, and what each sets up:
+   - c4free(n, eu, ev, alive_mask) -> bool, the C4-freeness check of
+     indmatch/analysis.py: is_c4_free.  Only the graph set-up
+     (graph_init: the edges checked, the live ones linked into
+     per-vertex lists, degrees, one vertex and edge mark set), plus a
+     degree ranking for the scan.
+   - run(n, eu, ev, alive_mask, algo, cutoff, emit, labels=None) ->
+     dict, the enumeration.  The graph set-up, then the engine set-up
+     (engine_init: degree buckets, undo log, matching stack), then the
+     chosen engine's own scratch: the classification arrays and frame
+     arena of the c4free engine (c4free_init), or the static adjacency
+     and conflict buffers of the general engine (build_static).  With
+     vertex labels given, it also renders each solution's canonical line
+     (indmatch/edgelist.py: solution_line) into a byte buffer and hands
+     the buffer to a Python writer once per chunk (lines_init).
+   - parse(text) -> (labels, eu, ev) or None, the edge-list parser of
+     indmatch/edgelist.py: parse_edge_list, with its own state.
 
-   Entry points: run(n, eu, ev, alive_mask, algo, cutoff, emit,
-   labels=None) -> dict; c4free(n, eu, ev, alive_mask) -> bool, the
-   C4-freeness check of indmatch/analysis.py: is_c4_free; and
-   parse(text) -> (labels, eu, ev) or None, the edge-list parser of
-   indmatch/edgelist.py: parse_edge_list.  Built by setup.py; in a
-   development checkout run `python setup.py build_ext --inplace`. */
+   Built by setup.py; in a development checkout run
+   `python setup.py build_ext --inplace`. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -32,34 +42,29 @@
 #define SIGNAL_TICK 0xFFFF
 
 typedef struct {
+    /* graph: linked live edges, degrees, epoch-guarded marks */
     int n, m, cap;
     int *eu, *ev, *head, *nxt, *prv, *deg;
     char *alive;
-    /* degree buckets */
+    long long live;
+    int *vmark, *emark;
+    int epoch;
+    /* engines: degree buckets, undo log (edge removals only), matching */
     int *bhead, *btail, *bnxt, *bprv, *bucket;
     int maxb;
-    /* undo log (edge removals only) */
-    int *ulog;
-    int ulen;
-    long long live;
-    /* classification scratch, reset or epoch-guarded between iterations */
-    int *vmark, *vdist, *emark;
-    int epoch;
-    int *lvl1, *lvl2, *t01, *t11, *t12, *td2;
+    int *ulog, *mstack;
+    int ulen, msize;
+    /* c4free engine: classification scratch and per-iteration frames */
+    int *vdist, *lvl1, *lvl2, *t01, *t11, *t12, *td2;
     int *pcnt, *poff, *pcur, *ppar, *pbuf_u, *pbuf_f, *anchors;
     int *sbuf_u, *sbuf_f;
     size_t ucap, fcap;
     int *scnt, *utoslot;
     size_t *jcur;
-    /* general-engine static adjacency (CSR over the edges alive at entry) */
-    int *soffs, *sedge, *sother, *gvmark, *gemark;
-    int gepoch;
-    int *vertbuf, *confbuf;
-    /* current matching and per-iteration frame storage */
-    int *mstack;
-    int msize;
     int *arena;
     size_t acap, atop;
+    /* general engine: CSR over the edges alive at entry, conflicts */
+    int *soffs, *sedge, *sother, *vertbuf, *confbuf;
     /* counters / control */
     long long solutions, iterations, internal, deletions, restorations;
     long long sect_sum_total, d2_total;
@@ -83,19 +88,29 @@ typedef struct {
 
 /* -- allocation ------------------------------------------------------ */
 
+/* `count` zeroed elements, freed by run_free; NULL with MemoryError set. */
 static void *take(Run *r, size_t count, size_t size)
 {
     void *p = r->nbufs < MAX_BUFS ? calloc(count, size) : NULL;
-    if (p == NULL)
+    if (p == NULL) {
+        PyErr_NoMemory();
         r->oom = 1;
-    else
+    } else {
         r->bufs[r->nbufs++] = p;
+    }
     return p;
 }
 
 static int *ints(Run *r, size_t count)
 {
     return take(r, count, sizeof(int));
+}
+
+/* Points each of the NULL-terminated `arrays` at `count` fresh ints. */
+static void ints_each(Run *r, size_t count, int **arrays[])
+{
+    for (; *arrays != NULL; arrays++)
+        **arrays = ints(r, count);
 }
 
 static void run_free(Run *r)
@@ -111,14 +126,16 @@ static void run_free(Run *r)
     Py_XDECREF(r->labels);
 }
 
-/* Grows *buf by doubling until it holds `need` ints. */
-static int reserve(int **buf, size_t *cap, size_t need)
+/* Grows the buffer at `bufp` (a pointer to any object pointer) of *cap
+   elements of `size` bytes, by doubling from 256, until it holds `need`. */
+static int reserve(void *bufp, size_t *cap, size_t need, size_t size)
 {
-    size_t c = *cap;
+    void **buf = bufp;
+    size_t c = *cap > 0 ? *cap : 256;
     while (need > c)
         c *= 2;
     if (c != *cap) {
-        int *p = realloc(*buf, sizeof(int) * c);
+        void *p = realloc(*buf, size * c);
         if (p == NULL) {
             PyErr_NoMemory();
             return -1;
@@ -130,14 +147,14 @@ static int reserve(int **buf, size_t *cap, size_t need)
 }
 
 /* A fresh mark value; the marks are cleared before the counter wraps. */
-static int next_epoch(int *epoch, int *vmark, int n, int *emark, int m)
+static int next_epoch(Run *r)
 {
-    if (*epoch == INT_MAX) {
-        memset(vmark, 0, sizeof(int) * (size_t)(n + 1));
-        memset(emark, 0, sizeof(int) * (size_t)(m + 1));
-        *epoch = 0;
+    if (r->epoch == INT_MAX) {
+        memset(r->vmark, 0, sizeof(int) * (size_t)(r->n + 1));
+        memset(r->emark, 0, sizeof(int) * (size_t)(r->m + 1));
+        r->epoch = 0;
     }
-    return ++*epoch;
+    return ++r->epoch;
 }
 
 /* -- dynamic adjacency ---------------------------------------------- */
@@ -266,37 +283,23 @@ static int endpoint(PyObject *list, Py_ssize_t i, int n, int *out)
     return 0;
 }
 
-static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *mask)
+/* The graph set-up shared by c4free() and run(): the edges checked,
+   the live ones linked, their degrees and the mark set. */
+static int graph_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *mask)
 {
     const char *alive_mask = PyBytes_AS_STRING(mask);
-    size_t sn = (size_t)n + 1, sm = (size_t)m + 1, sa = 2 * (size_t)m + 1;
+    int **per_vertex[] = {&r->head, &r->deg, &r->vmark, NULL};
+    int **per_edge[] = {&r->eu, &r->ev, &r->emark, NULL};
     r->n = n;
     r->m = m;
-    int **per_vertex[] = {&r->head, &r->deg, &r->bhead, &r->btail, &r->bnxt, &r->bprv,
-                          &r->bucket, &r->vmark, &r->vdist, &r->lvl1, &r->lvl2, &r->pcnt,
-                          &r->poff, &r->pcur, &r->scnt, &r->utoslot};
-    /* ppar holds one parent pair per 1-2 edge, so m is a hard bound */
-    int **per_edge[] = {&r->eu, &r->ev, &r->ulog, &r->emark, &r->t01, &r->t11, &r->t12,
-                        &r->td2, &r->ppar, &r->pbuf_u, &r->pbuf_f, &r->mstack};
-    for (size_t i = 0; i < sizeof per_vertex / sizeof *per_vertex; i++)
-        *per_vertex[i] = ints(r, sn);
-    for (size_t i = 0; i < sizeof per_edge / sizeof *per_edge; i++)
-        *per_edge[i] = ints(r, sm);
+    ints_each(r, (size_t)n + 1, per_vertex);
+    ints_each(r, (size_t)m + 1, per_edge);
     /* dynamic adjacency: edge e owns arcs 2e (at eu) and 2e+1 (at ev) */
-    r->nxt = ints(r, sa);
-    r->prv = ints(r, sa);
-    r->alive = take(r, sm, 1);
-    r->jcur = take(r, sn, sizeof(size_t));
-    r->anchors = ints(r, 2 * sn + 2);
-    r->ucap = r->fcap = 256;
-    r->sbuf_u = malloc(sizeof(int) * r->ucap);
-    r->sbuf_f = malloc(sizeof(int) * r->fcap);
-    r->acap = 4096;
-    r->arena = malloc(sizeof(int) * r->acap);
-    if (r->oom || !r->sbuf_u || !r->sbuf_f || !r->arena) {
-        PyErr_NoMemory();
+    r->nxt = ints(r, 2 * (size_t)m + 1);
+    r->prv = ints(r, 2 * (size_t)m + 1);
+    r->alive = take(r, (size_t)m + 1, 1);
+    if (r->oom)
         return -1;
-    }
     for (int e = 0; e < m; e++) {
         if (endpoint(eu, e, n, &r->eu[e]) < 0 || endpoint(ev, e, n, &r->ev[e]) < 0)
             return -1;
@@ -318,9 +321,9 @@ static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *
         r->deg[r->eu[e]]++;
         r->deg[r->ev[e]]++;
     }
-    /* the scratch bounds above assume a simple graph */
+    /* the scratch bounds of the engines assume a simple graph */
     for (int v = 0; v < n; v++) {
-        int ep = ++r->epoch;
+        int ep = next_epoch(r);
         for (int a = r->head[v]; a != -1; a = r->nxt[a]) {
             int w = (a & 1) ? r->eu[a >> 1] : r->ev[a >> 1];
             if (r->vmark[w] == ep) {
@@ -332,12 +335,24 @@ static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *
         if (r->deg[v] > r->cap)
             r->cap = r->deg[v];
     }
-    /* degree buckets; vertices inserted at the tail in id order, so
-       pivot ties break toward the most recently inserted vertex */
+    return 0;
+}
+
+/* The engine set-up run() adds: degree buckets, undo log and matching. */
+static int engine_init(Run *r)
+{
+    int **per_vertex[] = {&r->bhead, &r->btail, &r->bnxt, &r->bprv, &r->bucket, NULL};
+    int **per_edge[] = {&r->ulog, &r->mstack, NULL};
+    ints_each(r, (size_t)r->n + 1, per_vertex);
+    ints_each(r, (size_t)r->m + 1, per_edge);
+    if (r->oom)
+        return -1;
+    /* vertices inserted at the tail in id order, so pivot ties break
+       toward the most recently inserted vertex */
     for (int d = 0; d <= r->cap; d++)
         r->bhead[d] = r->btail[d] = -1;
     r->maxb = -1;
-    for (int v = 0; v < n; v++)
+    for (int v = 0; v < r->n; v++)
         binsert(r, v, r->deg[v]);
     return 0;
 }
@@ -345,26 +360,42 @@ static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *
 /* -- C4 check -------------------------------------------------------- */
 
 /* 1 when the live graph has no 4-cycle, that is, no two vertices share
-   two neighbours; 0 when it has one; -1 on a pending signal.  The 2-path
-   ends out of v get v's mark, and the scan stops at an end reached
-   twice.  Each ordered vertex pair is marked at most once before that,
-   so the scan ends within n*n marks. */
+   two neighbours; 0 when it has one; -1 on a pending signal or no memory.
+   The vertices are ranked by degree (ties by id), and from each v the
+   scan follows only the 2-paths v-u-w whose u and w rank below v,
+   stopping at an end w reached twice.  A 4-cycle is found from its
+   top-ranked vertex (Chiba and Nishizeki 1985).  Walking u's list costs
+   deg(u) <= deg(v), the smaller degree of the edge v-u; these minima sum
+   to O(m sqrt(m)), and to O(n) on a star. */
 static int scan_c4free(Run *r)
 {
+    int *rank = ints(r, (size_t)r->n + 1), *below = ints(r, (size_t)r->cap + 2);
     long long steps = 0;
+    if (r->oom)
+        return -1;
+    /* counting sort: after the prefix sums, below[d] counts the vertices
+       of degree under d */
+    for (int v = 0; v < r->n; v++)
+        below[r->deg[v] + 1]++;
+    for (int d = 0; d <= r->cap; d++)
+        below[d + 1] += below[d];
+    for (int v = 0; v < r->n; v++)
+        rank[v] = below[r->deg[v]]++;
     for (int v = 0; v < r->n; v++) {
-        int ep = next_epoch(&r->epoch, r->vmark, r->n, r->emark, r->m);
+        int ep = next_epoch(r);
         for (int a = r->head[v]; a != -1; a = r->nxt[a]) {
             int u = (a & 1) ? r->eu[a >> 1] : r->ev[a >> 1];
+            if (rank[u] > rank[v])
+                continue;
             for (int b = r->head[u]; b != -1; b = r->nxt[b]) {
                 int w = (b & 1) ? r->eu[b >> 1] : r->ev[b >> 1];
-                if (w == v)
+                if ((++steps & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
+                    return -1;
+                if (rank[w] >= rank[v])
                     continue;
                 if (r->vmark[w] == ep)
                     return 0;
                 r->vmark[w] = ep;
-                if ((++steps & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
-                    return -1;
             }
         }
     }
@@ -392,24 +423,6 @@ static int label(Run *r, int v, const char **text, Py_ssize_t *len)
     return *text == NULL ? -1 : 0;
 }
 
-/* Grows the byte buffer *buf by doubling until it holds `need` bytes. */
-static int reserve_bytes(char **buf, size_t *cap, size_t need)
-{
-    size_t c = *cap;
-    while (need > c)
-        c *= 2;
-    if (c != *cap) {
-        char *p = realloc(*buf, c);
-        if (p == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        *buf = p;
-        *cap = c;
-    }
-    return 0;
-}
-
 /* Renders edge e's `a-b` text, smaller label first, on its first use. */
 static int render_edge(Run *r, int e)
 {
@@ -424,7 +437,7 @@ static int render_edge(Run *r, int e)
         lt = la, la = lb, lb = lt;
     }
     size_t len = (size_t)la + 1 + (size_t)lb;
-    if (reserve_bytes(&r->texts, &r->tcap, r->ttop + len) < 0)
+    if (reserve(&r->texts, &r->tcap, r->ttop + len, 1) < 0)
         return -1;
     char *p = r->texts + r->ttop;
     memcpy(p, a, (size_t)la);
@@ -452,7 +465,7 @@ static int line_insert(Run *r, int k, int e)
             break;
         off += r->tlen[f] + 1;
     }
-    if (reserve_bytes(&r->cur, &r->ccap, r->clen + len) < 0)
+    if (reserve(&r->cur, &r->ccap, r->clen + len, 1) < 0)
         return -1;
     memmove(r->line + i + 1, r->line + i, sizeof(int) * (size_t)(k - i));
     r->line[i] = e;
@@ -515,7 +528,7 @@ static int write_line(Run *r)
 {
     size_t need = r->clen > 0 ? r->clen : 3;
     if (r->olen + need > r->ocap &&
-        (flush(r) < 0 || reserve_bytes(&r->out, &r->ocap, need) < 0))
+        (flush(r) < 0 || reserve(&r->out, &r->ocap, need, 1) < 0))
         return -1;
     char *p = r->out + r->olen;
     if (r->clen == 0) {
@@ -548,16 +561,7 @@ static int lines_init(Run *r, PyObject *labels)
     r->loff = take(r, sm, sizeof(size_t));
     r->line = ints(r, sm);
     r->lpos = ints(r, sm);
-    r->tcap = r->ccap = 4096;
-    r->texts = malloc(r->tcap);
-    r->cur = malloc(r->ccap);
-    r->ocap = CHUNK;
-    r->out = malloc(r->ocap);
-    if (r->oom || !r->texts || !r->cur || !r->out) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    return 0;
+    return r->oom || reserve(&r->out, &r->ocap, CHUNK, 1) < 0 ? -1 : 0;
 }
 
 /* -- emission -------------------------------------------------------- */
@@ -595,6 +599,22 @@ static int emit(Run *r)
 
 /* -- C4-free multi-way engine ---------------------------------------- */
 
+/* The c4free engine's scratch; its frames and sector buffers grow on use. */
+static int c4free_init(Run *r)
+{
+    size_t sn = (size_t)r->n + 1;
+    int **per_vertex[] = {&r->vdist, &r->lvl1, &r->lvl2, &r->pcnt, &r->poff, &r->pcur,
+                          &r->scnt, &r->utoslot, NULL};
+    /* ppar holds one parent pair per 1-2 edge, so m is a hard bound */
+    int **per_edge[] = {&r->t01, &r->t11, &r->t12, &r->td2, &r->ppar, &r->pbuf_u, &r->pbuf_f,
+                        NULL};
+    ints_each(r, sn, per_vertex);
+    ints_each(r, (size_t)r->m + 1, per_edge);
+    r->anchors = ints(r, 2 * sn + 2);
+    r->jcur = take(r, sn, sizeof(size_t));
+    return r->oom ? -1 : 0;
+}
+
 static int rec_c4free(Run *r)
 {
     r->iterations++;
@@ -609,14 +629,14 @@ static int rec_c4free(Run *r)
     int v = r->btail[r->maxb];
     int a, e, u, w, x, p, f, i, j, k, t, na;
     int nd01 = 0, nd11 = 0, nd12 = 0, nd2 = 0, nl1 = 0, nl2 = 0, npp = 0, nsb = 0;
-    int ep = next_epoch(&r->epoch, r->vmark, r->n, r->emark, r->m);
+    int ep = next_epoch(r);
     r->vmark[v] = ep;
     r->vdist[v] = 0;
 
     /* pivot star: the 0-1 edges and the distance-1 ring.  The 0-1 edges
        are stored back to front, which is ascending edge id, the child
        order: every adjacency list is in descending edge id, since
-       run_init head-inserts in ascending order, removals keep the order
+       graph_init head-inserts in ascending order, removals keep the order
        and rollbacks restore it. */
     nd01 = r->deg[v];
     for (a = r->head[v], k = nd01; a != -1; a = r->nxt[a]) {
@@ -693,8 +713,8 @@ static int rec_c4free(Run *r)
                     r->anchors[na++] = p;
             }
         }
-        if (reserve(&r->sbuf_u, &r->ucap, (size_t)(nsb + na)) < 0 ||
-            reserve(&r->sbuf_f, &r->fcap, (size_t)(nsb + na)) < 0)
+        if (reserve(&r->sbuf_u, &r->ucap, (size_t)(nsb + na), sizeof(int)) < 0 ||
+            reserve(&r->sbuf_f, &r->fcap, (size_t)(nsb + na), sizeof(int)) < 0)
             return -1;
         for (t = 0; t < na; t++) {
             p = r->anchors[t];
@@ -709,7 +729,7 @@ static int rec_c4free(Run *r)
     /* frame: [d01 sorted][d11][d12] then per d01 edge [cnt, sector...] */
     size_t frame = r->atop;
     r->atop += 2 * (size_t)nd01 + nd11 + nd12 + nsb;
-    if (reserve(&r->arena, &r->acap, r->atop) < 0)
+    if (reserve(&r->arena, &r->acap, r->atop, sizeof(int)) < 0)
         return -1;
     int *fr = r->arena + frame; /* valid until the first child runs */
     memcpy(fr, r->t01, sizeof(int) * nd01);
@@ -774,29 +794,26 @@ static int build_static(Run *r)
 {
     /* CSR over the edges alive at entry, per vertex in ascending edge
        id; must run before any mutation */
-    int n = r->n, m = r->m;
-    int **per_vertex[] = {&r->soffs, &r->gvmark, &r->vertbuf};
-    int **per_edge[] = {&r->sedge, &r->sother, &r->gemark, &r->confbuf};
-    for (size_t i = 0; i < sizeof per_vertex / sizeof *per_vertex; i++)
-        *per_vertex[i] = ints(r, (size_t)n + 2);
-    for (size_t i = 0; i < sizeof per_edge / sizeof *per_edge; i++)
-        *per_edge[i] = ints(r, 2 * (size_t)m + 1);
-    if (r->oom) {
-        PyErr_NoMemory();
+    int n = r->n, end = 0;
+    int **per_vertex[] = {&r->soffs, &r->vertbuf, NULL};
+    int **per_arc[] = {&r->sedge, &r->sother, &r->confbuf, NULL};
+    ints_each(r, (size_t)n + 1, per_vertex);
+    ints_each(r, 2 * (size_t)r->m + 1, per_arc);
+    if (r->oom)
         return -1;
-    }
-    for (int i = 0; i < n; i++) {
-        r->soffs[i + 1] = r->soffs[i] + r->deg[i];
-        r->pcur[i] = r->soffs[i];
-    }
-    for (int e = 0; e < m; e++) {
+    /* soffs[v] starts at the end of v's run and steps back to its start
+       as the edges are placed in descending order */
+    for (int v = 0; v < n; v++)
+        r->soffs[v] = end += r->deg[v];
+    r->soffs[n] = end;
+    for (int e = r->m - 1; e >= 0; e--) {
         if (!r->alive[e])
             continue;
         int u = r->eu[e], v = r->ev[e];
-        r->sedge[r->pcur[u]] = e;
-        r->sother[r->pcur[u]++] = v;
-        r->sedge[r->pcur[v]] = e;
-        r->sother[r->pcur[v]++] = u;
+        r->sedge[--r->soffs[u]] = e;
+        r->sother[r->soffs[u]] = v;
+        r->sedge[--r->soffs[v]] = e;
+        r->sother[r->soffs[v]] = u;
     }
     return 0;
 }
@@ -805,27 +822,27 @@ static int gather_conflicts(Run *r, int e)
 {
     /* live edges within distance 1 of e, distances in the static (entry)
        adjacency; same visit order as the Python engine */
-    int ep = next_epoch(&r->gepoch, r->gvmark, r->n, r->gemark, r->m);
+    int ep = next_epoch(r);
     int ends[2] = {r->eu[e], r->ev[e]};
     int nv = 0, nout = 0, k, i, x;
     for (k = 0; k < 2; k++)
-        if (r->gvmark[ends[k]] != ep) {
-            r->gvmark[ends[k]] = ep;
+        if (r->vmark[ends[k]] != ep) {
+            r->vmark[ends[k]] = ep;
             r->vertbuf[nv++] = ends[k];
         }
     for (k = 0; k < 2; k++)
         for (i = r->soffs[ends[k]]; i < r->soffs[ends[k] + 1]; i++) {
             x = r->sother[i];
-            if (r->gvmark[x] != ep) {
-                r->gvmark[x] = ep;
+            if (r->vmark[x] != ep) {
+                r->vmark[x] = ep;
                 r->vertbuf[nv++] = x;
             }
         }
     for (k = 0; k < nv; k++)
         for (i = r->soffs[r->vertbuf[k]]; i < r->soffs[r->vertbuf[k] + 1]; i++) {
             x = r->sedge[i];
-            if (r->gemark[x] != ep && r->alive[x]) {
-                r->gemark[x] = ep;
+            if (r->emark[x] != ep && r->alive[x]) {
+                r->emark[x] = ep;
                 r->confbuf[nout++] = x;
             }
         }
@@ -1127,11 +1144,13 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs
         return PyErr_NoMemory();
     r->cutoff = cutoff;
     r->emit = sink == Py_None ? NULL : sink;
-    status = run_init(r, n, m, eu, ev, mask);
+    status = graph_init(r, n, m, eu, ev, mask);
+    if (status == 0)
+        status = engine_init(r);
     if (status == 0 && labels != Py_None)
         status = lines_init(r, labels);
-    if (status == 0 && general)
-        status = build_static(r);
+    if (status == 0)
+        status = general ? build_static(r) : c4free_init(r);
     if (status == 0)
         status = general ? rec_general(r) : rec_c4free(r);
     if (status == 0 && r->labels != NULL)
@@ -1165,7 +1184,7 @@ static PyObject *c4free(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwa
     Run *r = calloc(1, sizeof(Run));
     if (r == NULL)
         return PyErr_NoMemory();
-    status = run_init(r, n, m, eu, ev, mask);
+    status = graph_init(r, n, m, eu, ev, mask);
     if (status == 0)
         status = scan_c4free(r);
     run_free(r);

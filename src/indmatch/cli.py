@@ -8,7 +8,7 @@ import sys
 
 from . import analysis, edgelist
 from .enumerate import CountingSink, EnumConfig, enumerate_solutions
-from .errors import IndmatchError, NotC4Free, ParseError, TooLargeForOracle
+from .errors import IndmatchError, InfeasibleSpec, NotC4Free, ParseError, TooLargeForOracle
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -139,7 +139,12 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    rows = stats.bench(specs, algos, cutoff=args.cutoff, repeats=args.repeats, backend=args.backend)
+    try:
+        rows = stats.bench(specs, algos, cutoff=args.cutoff, repeats=args.repeats,
+                           backend=args.backend)
+    except InfeasibleSpec as exc:  # the one error generating a graph raises
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     csv_text = stats.rows_to_csv(rows)
     if args.output == "-":
         sys.stdout.write(csv_text)

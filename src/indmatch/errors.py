@@ -42,7 +42,8 @@ class TooLargeForOracle(IndmatchError):
 
 
 class InfeasibleSpec(IndmatchError):
-    """A random generator exhausted its proposal budget before reaching the target."""
+    """A generator spec names no graph: an unknown family, a size out of range,
+    or a random generator that exhausted its proposal budget."""
 
 
 class ParseError(IndmatchError):

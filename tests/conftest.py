@@ -21,6 +21,20 @@ def star_graph(k):
     return DynamicGraph(k, [(0, i) for i in range(1, k)])
 
 
+def double_star_graph(k):
+    """Hubs 0 and 1 joined by an edge, the other k-2 vertices split between them."""
+    half = k // 2
+    return DynamicGraph(k, [(0, 1)] + [(0, i) for i in range(2, half)]
+                        + [(1, i) for i in range(half, k)])
+
+
+def friendship_graph(k):
+    """Triangles (0, 2i+1, 2i+2) sharing the hub 0, on 2*((k-1)//2)+1 vertices."""
+    t = (k - 1) // 2
+    return DynamicGraph(2 * t + 1, [e for i in range(t)
+                                    for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
 def complete_graph(k):
     return DynamicGraph(k, list(itertools.combinations(range(k), 2)))
 

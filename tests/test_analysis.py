@@ -8,7 +8,16 @@ from indmatch import DynamicGraph, GenSpec, generate, girth, is_c4_free
 from indmatch.analysis import SplitMix64, is_c4_free_python
 from indmatch.errors import InfeasibleSpec
 
-from conftest import cycle_graph, girth_oracle, has_four_cycle, path_graph, random_graph
+from conftest import (
+    cycle_graph,
+    double_star_graph,
+    friendship_graph,
+    girth_oracle,
+    has_four_cycle,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 class TestSplitMix64:
@@ -51,6 +60,18 @@ class TestC4Free:
             g = random_graph(rng, n_max=10)
             assert c4_free(g) == (not has_four_cycle(g))
 
+    @pytest.mark.parametrize("build", [star_graph, double_star_graph, friendship_graph])
+    def test_hubs_at_scale(self, c4_free, build):
+        # every vertex is next to a hub of degree n/2 or more: a check that
+        # walks a hub's list from each of its neighbours takes quadratic time
+        g = build(10**5)
+        assert c4_free(g)
+        # the 4-cycle 0-2-z-3 through a new vertex z: 2 and 3 are both next
+        # to the hub 0
+        z = g.n
+        g = DynamicGraph(g.n + 1, list(zip(g.eu, g.ev)) + [(z, 2), (z, 3)])
+        assert not c4_free(g)
+
 
 class TestGirth:
     def test_forest_has_none(self):
@@ -60,6 +81,16 @@ class TestGirth:
     def test_cycles(self):
         for k in (3, 4, 5, 6, 9):
             assert girth(cycle_graph(k)) == k
+
+    @pytest.mark.parametrize("family", ["path", "star", "randomtree"])
+    def test_large_forest_has_none(self, family):
+        # peeled to an empty 2-core without a BFS
+        assert girth(generate(GenSpec(family=family, n=10**5, seed=1))) is None
+
+    def test_cycle_behind_a_tree(self):
+        # a triangle at the end of a long path: only the triangle is left
+        g = DynamicGraph(1002, [(i, i + 1) for i in range(1001)] + [(999, 1001)])
+        assert girth(g) == 3
 
     def test_agrees_with_oracle(self):
         rng = random.Random(555)
@@ -113,6 +144,11 @@ class TestFamilies:
         # 4 vertices admit at most a tree (3 edges) at girth >= 5
         with pytest.raises(InfeasibleSpec):
             generate(GenSpec(family="randomgirth5", n=4, m=4, seed=0))
+
+    @pytest.mark.parametrize("family", ["path", "star", "randomtree", "randomgirth5"])
+    def test_negative_size(self, family):
+        with pytest.raises(InfeasibleSpec):
+            generate(GenSpec(family=family, n=-5))
 
     def test_unknown_family(self):
         with pytest.raises(InfeasibleSpec):

@@ -152,6 +152,11 @@ class TestGen:
     def test_infeasible_spec(self, capsys):
         assert main(["gen", "--family", "cycle", "--n", "2", "-"]) == EXIT_PARSE
 
+    def test_negative_size(self, capsys):
+        assert main(["gen", "--family", "path", "--n", "-5", "-"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
 
 class TestBench:
     def test_csv_output(self, tmp_path, capsys):
@@ -169,6 +174,12 @@ class TestBench:
     def test_unknown_family(self, tmp_path, capsys):
         specs = write(tmp_path, "specs.txt", "clique 8 0\n")
         assert main(["bench", "--spec-file", specs, "-"]) == EXIT_PARSE
+
+    def test_infeasible_spec(self, tmp_path, capsys):
+        specs = write(tmp_path, "specs.txt", "cycle 8 0\ncycle 2 0\n")
+        assert main(["bench", "--spec-file", specs, "--repeats", "1", "-"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: cycle needs n >= 3\n"
 
     def test_spec_file_that_is_not_utf8(self, tmp_path, capsys):
         specs = tmp_path / "specs.txt"

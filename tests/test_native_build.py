@@ -1,7 +1,8 @@
 """The native kernel builds from source with warnings as errors, and the
 build gives the same solution streams and counters as the Python engines,
 the same C4 checks and parsed graphs as the Python references, the same
-CLI output bytes, and stops on Ctrl-C.
+CLI output bytes, and stops on Ctrl-C.  The suite's native-parametrised
+tests, which skip without a compiled core, run against the build too.
 
 The extension is compiled once by the project's own `setup.py` into a
 temporary directory, next to a copy of the package's Python files, and
@@ -52,6 +53,22 @@ for _ in range(60):
     graphs.append(DynamicGraph(n, rng.sample(pool, rng.randint(0, min(len(pool), 20)))))
 graphs += [generate(GenSpec(family="randomgirth5", n=n, m=int(1.2 * n), seed=s))
            for n in (16, 24, 32) for s in range(2)]
+
+# hubs: a star, two joined stars, triangles sharing a vertex (all C4-free)
+def star(n):
+    return DynamicGraph(n, [(0, i) for i in range(1, n)])
+
+def double_star(n):
+    return DynamicGraph(n, [(0, 1)] + [(0, i) for i in range(2, n // 2)]
+                        + [(1, i) for i in range(max(2, n // 2), n)])
+
+def friendship(n):
+    t = (n - 1) // 2
+    return DynamicGraph(2 * t + 1, [e for i in range(t) for e in
+                                    ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+HUBS = (star, double_star, friendship)
+graphs += [hub(n) for hub in HUBS for n in (2, 5, 8, 11)]
 runs = 0
 for g in graphs:
     for algo in ["general"] + (["c4free"] if is_c4_free(g) else []):
@@ -116,6 +133,15 @@ for seed in range(3):
         g.rollback(0)
 for s in range(4):
     agree(generate(GenSpec(family="randomgirth5", n=2000, m=2400, seed=s)), True)
+# the hubs, and each with a 4-cycle through a new vertex z next to the
+# last two vertices, which share a hub
+for hub in HUBS:
+    for n in (2, 3, 4, 5, 6, 7, 40, 3001):
+        g = hub(n)
+        agree(g, True)
+        z = g.n
+        if n >= 5:
+            agree(DynamicGraph(z + 1, list(zip(g.eu, g.ev)) + [(z, z - 2), (z, z - 1)]), False)
 
 # bad arguments raise what run() raises for them
 BAD = [(2, [0], ["1"], b"\1"), (2, [0], [1.0], b"\1"), (2, [0], [2], b"\1"),
@@ -323,6 +349,21 @@ def test_cli_lines_match_python_and_brute(built, tmp_path):
     check = run_check(built, RENDER, tmp_path)
     assert check.returncode == 0, check.stdout + check.stderr
     assert "cli output identical" in check.stdout
+
+
+def test_native_parametrised_tests_pass(built):
+    # the suite's tests that compare with the kernel or run it, which skip
+    # or are not collected where the package has no compiled core
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+         "-k", "native or BackendParity or backends_report_identical_counts",
+         "tests/test_enumerators.py", "tests/test_stats.py", "tests/test_edgelist.py"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(built)),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    summary = run.stdout.strip().splitlines()[-1]
+    assert " passed" in summary and "skipped" not in summary, run.stdout
 
 
 @pytest.mark.parametrize("count_only", [True, False], ids=["count-only", "lines"])
