@@ -1,11 +1,13 @@
-/* Native kernel of the two partition enumerators.
+/* Native kernel of the multi-way partition enumerator.
 
-   A one-to-one transliteration of the pure-Python engines in
+   A one-to-one transliteration of the pure-Python engine in
    indmatch/enumerate.py onto flat C arrays: the same adjacency
    construction, the same degree-bucket tie-breaking, the same
    classification and removal order, so both backends produce identical
-   solution streams and identical counters.  Structural assertion checks
-   stay in the Python engine; this module only enumerates and counts.
+   solution streams and identical counters.  The engine is correct on
+   every graph; C4-freeness only bounds its cost per solution.
+   Structural assertion checks stay in the Python engine; this module
+   only enumerates and counts.
 
    Entry points, and what each sets up:
    - c4free(n, eu, ev, alive_mask) -> bool, the C4-freeness check of
@@ -13,12 +15,10 @@
      (graph_init: the edges checked, the live ones linked into
      per-vertex lists, degrees, one vertex and edge mark set), plus a
      degree ranking for the scan.
-   - run(n, eu, ev, alive_mask, algo, cutoff, emit, labels=None) ->
-     dict, the enumeration.  The graph set-up, then the engine set-up
+   - run(n, eu, ev, alive_mask, cutoff, emit, labels=None) -> dict, the
+     enumeration.  The graph set-up, then the engine set-up
      (engine_init: degree buckets, undo log, matching stack), then the
-     chosen engine's own scratch: the classification arrays and frame
-     arena of the c4free engine (c4free_init), or the static adjacency
-     and conflict buffers of the general engine (build_static).  With
+     engine's classification arrays and frame arena (c4free_init).  With
      vertex labels given, it also renders each solution's canonical line
      (indmatch/edgelist.py: solution_line) into a byte buffer and hands
      the buffer to a Python writer once per chunk (lines_init).
@@ -40,21 +40,28 @@
 #define CHUNK (64 * 1024)
 /* iterations between two checks for a pending signal (Ctrl-C) */
 #define SIGNAL_TICK 0xFFFF
+/* for the callees of rec_c4free that run once per solution or push:
+   inlined, they would enlarge its stack frame, which every recursion
+   level pays */
+#if defined(__GNUC__)
+#define OUT_OF_LINE __attribute__((noinline))
+#else
+#define OUT_OF_LINE
+#endif
 
 typedef struct {
     /* graph: linked live edges, degrees, epoch-guarded marks */
     int n, m, cap;
     int *eu, *ev, *head, *nxt, *prv, *deg;
-    char *alive;
     long long live;
     int *vmark, *emark;
     int epoch;
-    /* engines: degree buckets, undo log (edge removals only), matching */
+    /* engine: degree buckets, undo log (edge removals only), matching */
     int *bhead, *btail, *bnxt, *bprv, *bucket;
     int maxb;
     int *ulog, *mstack;
     int ulen, msize;
-    /* c4free engine: classification scratch and per-iteration frames */
+    /* classification scratch and per-iteration frames */
     int *vdist, *lvl1, *lvl2, *t01, *t11, *t12, *td2;
     int *pcnt, *poff, *pcur, *ppar, *pbuf_u, *pbuf_f, *anchors;
     int *sbuf_u, *sbuf_f;
@@ -63,8 +70,6 @@ typedef struct {
     size_t *jcur;
     int *arena;
     size_t acap, atop;
-    /* general engine: CSR over the edges alive at entry, conflicts */
-    int *soffs, *sedge, *sother, *vertbuf, *confbuf;
     /* counters / control */
     long long solutions, iterations, internal, deletions, restorations;
     long long sect_sum_total, d2_total;
@@ -228,7 +233,6 @@ static void remove_edge(Run *r, int e)
         if (nn != -1)
             r->prv[nn] = p;
     }
-    r->alive[e] = 0;
     r->live--;
     shift_degrees(r, e, -1);
     r->ulog[r->ulen++] = e;
@@ -249,7 +253,6 @@ static void relink_edge(Run *r, int e)
         if (nn != -1)
             r->prv[nn] = arc;
     }
-    r->alive[e] = 1;
     r->live++;
     shift_degrees(r, e, 1);
 }
@@ -297,7 +300,6 @@ static int graph_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject
     /* dynamic adjacency: edge e owns arcs 2e (at eu) and 2e+1 (at ev) */
     r->nxt = ints(r, 2 * (size_t)m + 1);
     r->prv = ints(r, 2 * (size_t)m + 1);
-    r->alive = take(r, (size_t)m + 1, 1);
     if (r->oom)
         return -1;
     for (int e = 0; e < m; e++) {
@@ -307,13 +309,12 @@ static int graph_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject
             PyErr_Format(PyExc_ValueError, "edge %d is a self-loop", e);
             return -1;
         }
-        r->alive[e] = alive_mask[e] ? 1 : 0;
     }
     /* head-inserted in ascending edge order over the alive edges */
     for (int v = 0; v < n; v++)
         r->head[v] = -1;
     for (int e = 0; e < m; e++) {
-        if (!r->alive[e])
+        if (!alive_mask[e])
             continue;
         r->live++;
         link_front(r, 2 * e, r->eu[e]);
@@ -321,7 +322,7 @@ static int graph_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject
         r->deg[r->eu[e]]++;
         r->deg[r->ev[e]]++;
     }
-    /* the scratch bounds of the engines assume a simple graph */
+    /* the engine's scratch bounds assume a simple graph */
     for (int v = 0; v < n; v++) {
         int ep = next_epoch(r);
         for (int a = r->head[v]; a != -1; a = r->nxt[a]) {
@@ -452,7 +453,7 @@ static int render_edge(Run *r, int e)
 /* Inserts edge e, the matching's entry k, into the current line, which
    stays sorted: each push and pop changes the line by one edge, so a
    solution's line is ready when the solution is found. */
-static int line_insert(Run *r, int k, int e)
+OUT_OF_LINE static int line_insert(Run *r, int k, int e)
 {
     int i;
     if (render_edge(r, e) < 0)
@@ -479,7 +480,7 @@ static int line_insert(Run *r, int k, int e)
 }
 
 /* Removes the matching's entry k, the last one inserted, from the line. */
-static void line_remove(Run *r, int k)
+OUT_OF_LINE static void line_remove(Run *r, int k)
 {
     int i = r->lpos[k];
     size_t off = r->loff[k], len = r->tlen[r->line[i]] + 1;
@@ -566,7 +567,7 @@ static int lines_init(Run *r, PyObject *labels)
 
 /* -- emission -------------------------------------------------------- */
 
-static int emit(Run *r)
+OUT_OF_LINE static int emit(Run *r)
 {
     r->solutions++;
     if (r->labels != NULL) {
@@ -597,9 +598,9 @@ static int emit(Run *r)
     return 0;
 }
 
-/* -- C4-free multi-way engine ---------------------------------------- */
+/* -- multi-way partition engine ------------------------------------- */
 
-/* The c4free engine's scratch; its frames and sector buffers grow on use. */
+/* The engine's scratch; its frames and sector buffers grow on use. */
 static int c4free_init(Run *r)
 {
     size_t sn = (size_t)r->n + 1;
@@ -785,103 +786,6 @@ static int rec_c4free(Run *r)
     }
     rollback(r, mark);
     r->atop = frame;
-    return 0;
-}
-
-/* -- general binary engine ------------------------------------------- */
-
-static int build_static(Run *r)
-{
-    /* CSR over the edges alive at entry, per vertex in ascending edge
-       id; must run before any mutation */
-    int n = r->n, end = 0;
-    int **per_vertex[] = {&r->soffs, &r->vertbuf, NULL};
-    int **per_arc[] = {&r->sedge, &r->sother, &r->confbuf, NULL};
-    ints_each(r, (size_t)n + 1, per_vertex);
-    ints_each(r, 2 * (size_t)r->m + 1, per_arc);
-    if (r->oom)
-        return -1;
-    /* soffs[v] starts at the end of v's run and steps back to its start
-       as the edges are placed in descending order */
-    for (int v = 0; v < n; v++)
-        r->soffs[v] = end += r->deg[v];
-    r->soffs[n] = end;
-    for (int e = r->m - 1; e >= 0; e--) {
-        if (!r->alive[e])
-            continue;
-        int u = r->eu[e], v = r->ev[e];
-        r->sedge[--r->soffs[u]] = e;
-        r->sother[r->soffs[u]] = v;
-        r->sedge[--r->soffs[v]] = e;
-        r->sother[r->soffs[v]] = u;
-    }
-    return 0;
-}
-
-static int gather_conflicts(Run *r, int e)
-{
-    /* live edges within distance 1 of e, distances in the static (entry)
-       adjacency; same visit order as the Python engine */
-    int ep = next_epoch(r);
-    int ends[2] = {r->eu[e], r->ev[e]};
-    int nv = 0, nout = 0, k, i, x;
-    for (k = 0; k < 2; k++)
-        if (r->vmark[ends[k]] != ep) {
-            r->vmark[ends[k]] = ep;
-            r->vertbuf[nv++] = ends[k];
-        }
-    for (k = 0; k < 2; k++)
-        for (i = r->soffs[ends[k]]; i < r->soffs[ends[k] + 1]; i++) {
-            x = r->sother[i];
-            if (r->vmark[x] != ep) {
-                r->vmark[x] = ep;
-                r->vertbuf[nv++] = x;
-            }
-        }
-    for (k = 0; k < nv; k++)
-        for (i = r->soffs[r->vertbuf[k]]; i < r->soffs[r->vertbuf[k] + 1]; i++) {
-            x = r->sedge[i];
-            if (r->emark[x] != ep && r->alive[x]) {
-                r->emark[x] = ep;
-                r->confbuf[nout++] = x;
-            }
-        }
-    return nout;
-}
-
-static int rec_general(Run *r)
-{
-    r->iterations++;
-    if ((r->iterations & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
-        return -1;
-    if (r->depth > r->max_depth)
-        r->max_depth = r->depth;
-    if (r->live == 0)
-        return emit(r);
-    r->internal++;
-    int v = r->btail[r->maxb], e = -1, mark = r->ulen;
-    for (int a = r->head[v]; a != -1; a = r->nxt[a])
-        if (e < 0 || (a >> 1) < e)
-            e = a >> 1;
-    remove_edge(r, e);
-    r->depth++;
-    if (rec_general(r) < 0)
-        return -1;
-    r->depth--;
-    rollback(r, mark);
-    if (r->stopped)
-        return 0;
-    int nc = gather_conflicts(r, e);
-    for (int i = 0; i < nc; i++)
-        remove_edge(r, r->confbuf[i]);
-    if (push(r, e) < 0)
-        return -1;
-    r->depth++;
-    if (rec_general(r) < 0)
-        return -1;
-    r->depth--;
-    pop(r);
-    rollback(r, mark);
     return 0;
 }
 
@@ -1090,15 +994,15 @@ static PyObject *parse(PyObject *Py_UNUSED(self), PyObject *text)
 /* -- module ---------------------------------------------------------- */
 
 PyDoc_STRVAR(run_doc,
-"run(n, eu, ev, alive_mask, algo, cutoff, emit, labels=None) -> dict\n\n"
-"Enumerate induced matchings of the graph given as edge arrays.\n\n"
-"`alive_mask[e]` selects the edges present at entry; `algo` is\n"
-"\"c4free\" or \"general\"; `cutoff` stops after that many solutions\n"
-"(0 = unlimited); `emit`, when not None, receives each solution as a\n"
-"tuple of edge ids and may return False to stop.  With `labels`, a\n"
-"tuple of one str per vertex, `emit` instead receives the solutions'\n"
-"canonical lines as UTF-8 bytes, one call per 64 KiB chunk.  Returns\n"
-"the instrumentation counters as a dict.");
+"run(n, eu, ev, alive_mask, cutoff, emit, labels=None) -> dict\n\n"
+"Enumerate induced matchings of the graph given as edge arrays by the\n"
+"multi-way partition, on any graph.\n\n"
+"`alive_mask[e]` selects the edges present at entry; `cutoff` stops\n"
+"after that many solutions (0 = unlimited); `emit`, when not None,\n"
+"receives each solution as a tuple of edge ids and may return False to\n"
+"stop.  With `labels`, a tuple of one str per vertex, `emit` instead\n"
+"receives the solutions' canonical lines as UTF-8 bytes, one call per\n"
+"64 KiB chunk.  Returns the instrumentation counters as a dict.");
 
 /* The edge count of the graph arguments, or -1 with an exception set. */
 static int graph_size(int n, PyObject *eu, PyObject *ev, PyObject *mask)
@@ -1117,24 +1021,16 @@ static int graph_size(int n, PyObject *eu, PyObject *ev, PyObject *mask)
 
 static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "eu", "ev", "alive_mask", "algo", "cutoff", "emit", "labels", NULL};
-    int n, m, general, status;
+    static char *kwlist[] = {"n", "eu", "ev", "alive_mask", "cutoff", "emit", "labels", NULL};
+    int n, m, status;
     long long cutoff;
-    PyObject *eu, *ev, *mask, *algo, *sink, *labels = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!ULO|O:run", kwlist, &n,
+    PyObject *eu, *ev, *mask, *sink, *labels = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!LO|O:run", kwlist, &n,
                                      &PyList_Type, &eu, &PyList_Type, &ev, &PyBytes_Type,
-                                     &mask, &algo, &cutoff, &sink, &labels))
+                                     &mask, &cutoff, &sink, &labels))
         return NULL;
     if ((m = graph_size(n, eu, ev, mask)) < 0)
         return NULL;
-    if (PyUnicode_CompareWithASCIIString(algo, "general") == 0) {
-        general = 1;
-    } else if (PyUnicode_CompareWithASCIIString(algo, "c4free") == 0) {
-        general = 0;
-    } else {
-        PyErr_Format(PyExc_ValueError, "unknown algorithm %R", algo);
-        return NULL;
-    }
     if (labels != Py_None && sink == Py_None) {
         PyErr_SetString(PyExc_ValueError, "labels need a writer");
         return NULL;
@@ -1150,9 +1046,9 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs
     if (status == 0 && labels != Py_None)
         status = lines_init(r, labels);
     if (status == 0)
-        status = general ? build_static(r) : c4free_init(r);
+        status = c4free_init(r);
     if (status == 0)
-        status = general ? rec_general(r) : rec_c4free(r);
+        status = rec_c4free(r);
     if (status == 0 && r->labels != NULL)
         status = flush(r);
     PyObject *res = status < 0 ? NULL : Py_BuildValue(
@@ -1202,8 +1098,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "indmatch._fastcore",
-    .m_doc = "Native kernel of the C4-free and general partition enumerators,\n"
-             "the C4-freeness check and the edge-list parser.",
+    .m_doc = "Native kernel of the multi-way partition enumerator, the\n"
+             "C4-freeness check and the edge-list parser.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -45,7 +45,7 @@ def is_c4_free(g: DynamicGraph) -> bool:
     common neighbors.  The check runs in the native kernel when it is
     built, and in `is_c4_free_python` otherwise; both give the same
     answer on every simple graph.  The kernel checks its input as the
-    native engines do: a non-int endpoint raises `TypeError`, an
+    native engine does: a non-int endpoint raises `TypeError`, an
     endpoint out of range, a self-loop or a live parallel edge
     `ValueError`.
     """
@@ -86,12 +86,16 @@ def girth(g: DynamicGraph) -> int | None:
 
     Every cycle lies in the 2-core, so vertices of degree at most one are
     peeled off first: a forest peels away entirely and returns None in
-    O(n + m).  Then a BFS from every core vertex; any non-tree edge seen
-    from u to an already labelled w closes a walk of length
+    O(n + m).  A cycle through no vertex of core degree 3 or more is a
+    whole component of the core, a plain cycle whose length is its size;
+    these are measured in O(n + m).  Every other cycle is found by a BFS
+    from one of its vertices of core degree 3 or more: any non-tree edge
+    seen from u to an already labelled w closes a walk of length
     dist(u)+dist(w)+1 through the root, which is an upper bound on the
     girth and tight for a root on a shortest cycle.  Each BFS resets only
     the vertices it labelled and stops expanding at half the best cycle
-    so far, but a core with only long cycles still takes O(n * m).
+    so far, but a core with many such vertices and only long cycles
+    still takes O(n * m).
     """
     degree = list(g.degree)
     peel = [v for v in range(g.n) if degree[v] <= 1]
@@ -105,10 +109,23 @@ def girth(g: DynamicGraph) -> int | None:
     adj = [[(e, w) for e, w in g.iter_incident(v) if in_core[w]] if in_core[v] else []
            for v in range(g.n)]
     best: int | None = None
+    seen = [False] * g.n
+    for s in range(g.n):
+        if not adj[s] or seen[s]:
+            continue
+        seen[s] = True
+        component = [s]
+        for u in component:  # grows while it is read
+            for _, w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+        if all(len(adj[u]) == 2 for u in component) and (best is None or len(component) < best):
+            best = len(component)
     dist = [-1] * g.n
     parent_edge = [-1] * g.n
     for s in range(g.n):
-        if not adj[s]:
+        if len(adj[s]) < 3:
             continue
         dist[s] = 0
         labelled = [s]

@@ -7,8 +7,15 @@ import os
 import sys
 
 from . import analysis, edgelist
-from .enumerate import CountingSink, EnumConfig, enumerate_solutions
-from .errors import IndmatchError, InfeasibleSpec, NotC4Free, ParseError, TooLargeForOracle
+from .enumerate import ALGORITHMS, CountingSink, EnumConfig, enumerate_solutions
+from .errors import (
+    BackendUnavailable,
+    IndmatchError,
+    InfeasibleSpec,
+    NotC4Free,
+    ParseError,
+    TooLargeForOracle,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -62,6 +69,9 @@ def cmd_enumerate(args) -> int:
     except TooLargeForOracle as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_GUARD
+    except BackendUnavailable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except BrokenPipeError:
         # The reader is gone: stop, and point stdout at devnull so the
         # flush at interpreter exit stays quiet (Python docs, "Note on SIGPIPE").
@@ -139,10 +149,14 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    unknown = [a for a in algos if a not in ALGORITHMS]
+    if unknown:
+        print(f"error: unknown algorithm {unknown[0]!r}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         rows = stats.bench(specs, algos, cutoff=args.cutoff, repeats=args.repeats,
                            backend=args.backend)
-    except InfeasibleSpec as exc:  # the one error generating a graph raises
+    except (InfeasibleSpec, BackendUnavailable) as exc:  # a spec or backend that cannot run
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     csv_text = stats.rows_to_csv(rows)
@@ -160,11 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("enumerate", help="stream all induced matchings of an edge-list file")
     pe.add_argument("input")
-    pe.add_argument("--algo", choices=["auto", "brute", "general", "c4free"], default="auto")
+    pe.add_argument("--algo", choices=ALGORITHMS, default="auto")
     pe.add_argument("--cutoff", type=_cutoff, default=None)
     pe.add_argument("--count-only", action="store_true")
     pe.add_argument("--assert", dest="assert_mode", action="store_true",
-                    help="run per-iteration structural checks (python backend)")
+                    help="check the C4-free lemmas at every iteration under c4free, "
+                         "or auto on a C4-free graph (python backend)")
     pe.add_argument("--backend", choices=["auto", "python", "native"], default="auto")
     pe.set_defaults(func=cmd_enumerate)
 

@@ -1,21 +1,22 @@
-"""The three enumeration engines behind one solution-sink contract.
+"""Two enumeration engines behind one solution-sink contract.
 
 * `enumerate_brute` iterates every edge subset of a small graph and is
-  the independent oracle the other engines are tested against.
-* `enumerate_general` is the binary partition enumerator for arbitrary
-  graphs; its include-branch gathers conflicting edges by a truncated
-  search, the Delta^2 step that dominates its per-solution cost.
-* `enumerate_c4free` is the multi-way partition enumerator whose
-  per-iteration work stays proportional to the pivot neighborhood,
-  giving constant amortized time per solution on C4-free graphs.
+  the independent oracle the partition engine is tested against.
+* The multi-way partition engine branches once per pivot-incident edge
+  plus once for the pivot-free subproblem.  It is correct on every
+  graph; on C4-free graphs its per-iteration work stays proportional to
+  the pivot neighborhood, giving constant amortized time per solution.
+  `enumerate_c4free`, `enumerate_general` and the `auto` algorithm all
+  run it, with the same solution stream and counters; they differ only
+  in assertion mode, which checks the C4-free lemmas at every iteration
+  when the algorithm is `c4free` or `auto` on a C4-free graph.
 
 A sink is any callable receiving one solution (a tuple of edge ids);
 returning False stops the enumeration before the next solution.
 
 When the native kernel (`indmatch._fastcore`, plain C compiled by
-`setup.py`) is importable, the two partition engines dispatch to it
-unless assertion mode is on or the configuration pins the pure-Python
-backend.
+`setup.py`) is importable, the partition engine dispatches to it unless
+assertion mode is on or the configuration pins the pure-Python backend.
 
 A solution cutoff is the smaller of `EnumConfig.solution_cutoff` and a
 `CountingSink`'s own `cutoff`; it must be at least 1.  Every engine
@@ -29,7 +30,7 @@ from collections.abc import Callable
 
 from ._record import Record
 from .edgelist import LineSink
-from .errors import NotC4Free, TooLargeForOracle
+from .errors import BackendUnavailable, NotC4Free, TooLargeForOracle
 from .graph import DynamicGraph
 
 try:
@@ -38,6 +39,7 @@ except ImportError:  # pure-Python fallback only
     _fastcore = None
 
 Sink = Callable[[tuple], object]
+ALGORITHMS = ("auto", "brute", "general", "c4free")
 
 
 def native_available() -> bool:
@@ -49,7 +51,7 @@ class EnumConfig(Record):
 
     def __init__(
         self,
-        algorithm: str = "auto",  # auto | brute | general | c4free
+        algorithm: str = "auto",  # one of ALGORITHMS
         assertion_mode: bool = False,
         solution_cutoff: int | None = None,
         backend: str = "auto",  # auto | python | native
@@ -65,7 +67,7 @@ class CountingSink:
 
     The engines apply the cutoff and set `cutoff_applied` when it was
     reached; the native kernel counts a CountingSink's solutions itself,
-    with no per-solution call.
+    with no per-solution call, but calls a subclass's `__call__` for each.
     """
 
     __slots__ = ("count", "cutoff", "cutoff_applied")
@@ -94,6 +96,9 @@ class ListSink:
 
 
 def resolve_algorithm(g: DynamicGraph, config: EnumConfig | None) -> str:
+    """The algorithm `auto` stands for: `c4free` on a C4-free graph and
+    `general` otherwise.  Both run the same engine; assertion mode checks
+    the C4-free lemmas only under `c4free`."""
     from .analysis import is_c4_free
 
     algo = config.algorithm if config else "auto"
@@ -177,12 +182,6 @@ class _PartitionRun:
         self.stopped = False
         self.solutions = 0
         self.depth = 0
-        # conflict-gathering scratch for the general engine
-        self.vmark = [0] * g.n
-        self.emark = [0] * g.m
-        self.epoch = 0
-        self.entry_alive = bytes(g.alive_edge)
-        self.static_adj: list[list[tuple[int, int]]] | None = None
 
     def emit(self, matching: list[int]) -> None:
         self.solutions += 1
@@ -213,8 +212,6 @@ class _PartitionRun:
         if self.stats is not None:
             self.stats.edge_restorations += len(self.g.undo_log) - m
         self.g.rollback(m)
-
-    # -- C4-free multi-way partition ----------------------------------
 
     def rec_c4free(self, matching: list[int], parent_alive: bytes | None) -> None:
         if self.enter():
@@ -274,81 +271,8 @@ class _PartitionRun:
                 break
         self.rollback(m0)
 
-    # -- general binary partition -------------------------------------
 
-    def conflict_edges(self, e: int) -> list[int]:
-        """The live edges at distance <= 1 from e, e included.
-
-        Distances are taken in the graph as it was at entry: an edge excluded by
-        an earlier 0-branch is gone from the live adjacency but still
-        connects its endpoints for the induced-matching condition, so
-        the truncated search walks the static adjacency and filters the
-        gathered edges to the ones currently alive.
-        """
-        g = self.g
-        if self.static_adj is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-            for eid in range(g.m):
-                if not self.entry_alive[eid]:
-                    continue
-                u, v = g.eu[eid], g.ev[eid]
-                adj[u].append((eid, v))
-                adj[v].append((eid, u))
-            self.static_adj = adj
-        adj = self.static_adj
-        self.epoch += 1
-        ep = self.epoch
-        vmark, emark = self.vmark, self.emark
-        alive = g.alive_edge
-        a, b = g.eu[e], g.ev[e]
-        verts = []
-        for x in (a, b):
-            if vmark[x] != ep:
-                vmark[x] = ep
-                verts.append(x)
-        for x in (a, b):
-            for _, w in adj[x]:
-                if vmark[w] != ep:
-                    vmark[w] = ep
-                    verts.append(w)
-        out = []
-        for x in verts:
-            for eid, _ in adj[x]:
-                if emark[eid] != ep and alive[eid]:
-                    emark[eid] = ep
-                    out.append(eid)
-        return out
-
-    def rec_general(self, matching: list[int]) -> None:
-        if self.enter():
-            self.emit(matching)
-            return
-        g = self.g
-        v = self.idx.max_degree_vertex()
-        e = min(eid for eid, _ in g.iter_incident(v))
-        m0 = g.mark()
-        g.remove_edge(e)
-        self.removed(1)
-        self.depth += 1
-        self.rec_general(matching)
-        self.depth -= 1
-        self.rollback(m0)
-        if self.stopped:
-            return
-        m1 = g.mark()
-        conf = self.conflict_edges(e)
-        for f in conf:
-            g.remove_edge(f)
-        self.removed(len(conf))
-        matching.append(e)
-        self.depth += 1
-        self.rec_general(matching)
-        self.depth -= 1
-        matching.pop()
-        self.rollback(m1)
-
-
-def _run_python(g, sink, algo, cutoff, assertion_mode, stats) -> int:
+def _run_python(g, sink, cutoff, assertion_mode, stats) -> int:
     prev_listener = g.listener
     run = _PartitionRun(g, sink, cutoff, assertion_mode, stats)
     limit = 3 * g.m + 1000
@@ -356,10 +280,7 @@ def _run_python(g, sink, algo, cutoff, assertion_mode, stats) -> int:
         sys.setrecursionlimit(limit)
     entry = g.mark()
     try:
-        if algo == "c4free":
-            run.rec_c4free([], None)
-        else:
-            run.rec_general([])
+        run.rec_c4free([], None)
     finally:
         # Unwind through the enumeration's own index, then hand the
         # listener slot back; the graph is net-unchanged at this point.
@@ -368,10 +289,11 @@ def _run_python(g, sink, algo, cutoff, assertion_mode, stats) -> int:
     return run.solutions
 
 
-def _run_native(g, sink, algo, cutoff, stats) -> int:
+def _run_native(g, sink, cutoff, stats) -> int:
     # The kernel counts solutions, appends them and renders lines itself
-    # for these sinks, with no Python frame per solution.
-    counting = isinstance(sink, CountingSink)
+    # for these exact types, with no Python frame per solution; a subclass
+    # may override __call__, so it is called like any other sink.
+    counting = type(sink) is CountingSink
     labels = None
     if counting:
         emit = None
@@ -381,7 +303,7 @@ def _run_native(g, sink, algo, cutoff, stats) -> int:
         emit, labels = sink.write, tuple(map(str, sink.g.labels))
     else:
         emit = sink
-    res = _fastcore.run(g.n, g.eu, g.ev, bytes(g.alive_edge), algo, cutoff or 0, emit, labels)
+    res = _fastcore.run(g.n, g.eu, g.ev, bytes(g.alive_edge), cutoff or 0, emit, labels)
     if counting:
         sink.count += res["solutions"]
     if stats is not None:
@@ -398,6 +320,8 @@ def _run_native(g, sink, algo, cutoff, stats) -> int:
 
 def _run(g: DynamicGraph, sink: Sink, config: EnumConfig | None, algo: str, stats=None) -> int:
     config = config or EnumConfig()
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     cutoff = config.solution_cutoff
     if isinstance(sink, CountingSink) and sink.cutoff is not None:
         cutoff = sink.cutoff if cutoff is None else min(cutoff, sink.cutoff)
@@ -410,30 +334,41 @@ def _run(g: DynamicGraph, sink: Sink, config: EnumConfig | None, algo: str, stat
         count = _run_brute(g, sink, cutoff)
     elif backend == "native":
         if _fastcore is None:
-            raise RuntimeError("native backend requested but indmatch._fastcore is not built")
+            raise BackendUnavailable("native backend requested but indmatch._fastcore is not built")
         if config.assertion_mode:
-            raise RuntimeError("assertion mode requires the python backend")
-        count = _run_native(g, sink, algo, cutoff, stats)
+            raise BackendUnavailable("assertion mode requires the python backend")
+        count = _run_native(g, sink, cutoff, stats)
     else:
-        count = _run_python(g, sink, algo, cutoff, config.assertion_mode, stats)
+        # the lemmas hold only on C4-free graphs, so only `c4free` vouches for them
+        if algo == "auto" and config.assertion_mode:
+            algo = resolve_algorithm(g, config)
+        count = _run_python(g, sink, cutoff, config.assertion_mode and algo == "c4free", stats)
     if isinstance(sink, CountingSink):
         sink.cutoff_applied = cutoff is not None and count >= cutoff
     return count
 
 
 def enumerate_general(g: DynamicGraph, sink: Sink, config: EnumConfig | None = None) -> int:
-    """Binary partition enumeration for arbitrary graphs."""
+    """Enumerate the induced matchings of any graph: the partition engine,
+    with no assertion checks."""
     return _run(g, sink, config, "general")
 
 
 def enumerate_c4free(g: DynamicGraph, sink: Sink, config: EnumConfig | None = None) -> int:
-    """Multi-way partition enumeration; the caller vouches g is C4-free."""
+    """The partition engine; the caller vouches g is C4-free, which bounds
+    its cost per solution and which assertion mode checks."""
     return _run(g, sink, config, "c4free")
 
 
 def enumerate_solutions(g: DynamicGraph, sink: Sink, config: EnumConfig | None = None, stats=None) -> int:
-    """Run the configured engine (resolving `auto`) against `sink`."""
-    return _run(g, sink, config, resolve_algorithm(g, config), stats)
+    """Run the configured algorithm against `sink`.
+
+    `auto`, `general` and `c4free` run the same partition engine; only
+    assertion mode looks for 4-cycles, to decide whether `auto` checks
+    the C4-free lemmas.
+    """
+    config = config or EnumConfig()
+    return _run(g, sink, config, config.algorithm, stats)
 
 
 def count_induced_matchings(g: DynamicGraph, config: EnumConfig | None = None) -> int:

@@ -37,6 +37,11 @@ class NotC4Free(IndmatchError):
     """Assertion mode detected a structural violation of C4-freeness."""
 
 
+class BackendUnavailable(IndmatchError, RuntimeError):
+    """The requested backend cannot run: the native kernel is not built, or
+    assertion mode, which only the Python engine checks, was asked of it."""
+
+
 class TooLargeForOracle(IndmatchError):
     """The brute-force oracle refuses graphs beyond its subset-iteration guard."""
 

@@ -92,6 +92,27 @@ class TestGirth:
         g = DynamicGraph(1002, [(i, i + 1) for i in range(1001)] + [(999, 1001)])
         assert girth(g) == 3
 
+    def test_long_cycle(self):
+        # a core of core degree 2 only: its size, with no BFS
+        assert girth(generate(GenSpec(family="cycle", n=10**5))) == 10**5
+
+    def test_cycle_components_and_a_tree(self):
+        # cycles of lengths 5 (0..4) and 7 (5..11), a tree hung on the 7-cycle
+        edges = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
+        edges += [(11, 12), (12, 13), (12, 14), (14, 15)]
+        assert girth(DynamicGraph(16, edges)) == 5
+
+    def test_theta_graph(self):
+        # hubs 0 and 1 joined by paths of 3, 4 and 6 edges: the shortest
+        # cycle, 7, passes through the two vertices of core degree 3
+        edges, nxt = [], 2
+        for length in (3, 4, 6):
+            chain = [0, *range(nxt, nxt + length - 1), 1]
+            nxt += length - 1
+            edges += list(zip(chain, chain[1:]))
+        g = DynamicGraph(nxt, edges)
+        assert girth(g) == girth_oracle(g) == 7
+
     def test_agrees_with_oracle(self):
         rng = random.Random(555)
         for _ in range(120):

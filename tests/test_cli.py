@@ -67,6 +67,24 @@ class TestEnumerate:
     def test_assert_flags_non_c4_free(self, tmp_path, capsys):
         path = write(tmp_path, "c4.txt", C4)
         assert main(["enumerate", "--algo", "c4free", "--assert", path]) == EXIT_NOT_C4FREE
+        capsys.readouterr()
+        # `auto` checks the C4-free lemmas only on a C4-free graph
+        assert main(["enumerate", "--assert", path]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 5
+
+    def test_assert_on_the_native_backend(self, tmp_path, capsys):
+        path = write(tmp_path, "c6.txt", C6)
+        assert main(["enumerate", "--assert", "--backend", "native", path]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), err
+
+    def test_native_backend_without_the_kernel(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("indmatch.enumerate._fastcore", None)
+        path = write(tmp_path, "c6.txt", C6)
+        for args in (["--count-only"], []):
+            assert main(["enumerate", "--backend", "native", *args, path]) == EXIT_PARSE
+            assert capsys.readouterr() == (
+                "", "error: native backend requested but indmatch._fastcore is not built\n")
 
     def test_brute_guard_exit_code(self, tmp_path, capsys):
         big = "\n".join(f"0 {i}" for i in range(1, 30)) + "\n"
@@ -175,11 +193,23 @@ class TestBench:
         specs = write(tmp_path, "specs.txt", "clique 8 0\n")
         assert main(["bench", "--spec-file", specs, "-"]) == EXIT_PARSE
 
+    def test_unknown_algorithm(self, tmp_path, capsys):
+        specs = write(tmp_path, "specs.txt", "cycle 8 0\n")
+        assert main(["bench", "--spec-file", specs, "--algos", "c4free,bogus", "-"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "error: unknown algorithm 'bogus'\n")
+
     def test_infeasible_spec(self, tmp_path, capsys):
         specs = write(tmp_path, "specs.txt", "cycle 8 0\ncycle 2 0\n")
         assert main(["bench", "--spec-file", specs, "--repeats", "1", "-"]) == EXIT_PARSE
         out, err = capsys.readouterr()
         assert out == "" and err == "error: cycle needs n >= 3\n"
+
+    def test_native_backend_without_the_kernel(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("indmatch.enumerate._fastcore", None)
+        specs = write(tmp_path, "specs.txt", "cycle 8 0\n")
+        assert main(["bench", "--spec-file", specs, "--backend", "native", "-"]) == EXIT_PARSE
+        assert capsys.readouterr() == (
+            "", "error: native backend requested but indmatch._fastcore is not built\n")
 
     def test_spec_file_that_is_not_utf8(self, tmp_path, capsys):
         specs = tmp_path / "specs.txt"

@@ -196,6 +196,22 @@ class TestSinksAndCutoffs:
         enumerate_general(path_graph(6), sink, EnumConfig(backend=backend))
         assert len(seen) == 3
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_counting_sink_subclass_is_called(self, backend):
+        class StopAtThree(CountingSink):
+            def __call__(self, solution):
+                super().__call__(solution)
+                return self.count < 3
+
+        sink = StopAtThree()
+        assert enumerate_solutions(cycle_graph(9), sink, EnumConfig(backend=backend)) == 3
+        assert sink.count == 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unknown_algorithm_is_rejected(self, backend):
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            count_induced_matchings(cycle_graph(6), EnumConfig(algorithm="bogus", backend=backend))
+
     def test_counting_sink_cutoff_flag(self):
         g = cycle_graph(8)
         sink = CountingSink(cutoff=4)

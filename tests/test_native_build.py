@@ -150,7 +150,7 @@ BAD = [(2, [0], ["1"], b"\1"), (2, [0], [1.0], b"\1"), (2, [0], [2], b"\1"),
        (2, (0,), [1], b"\1"), (2, [0], [1], bytearray(b"\1"))]
 for args in BAD:
     errors = []
-    for call in (lambda: _fastcore.c4free(*args), lambda: _fastcore.run(*args, "general", 0, None)):
+    for call in (lambda: _fastcore.c4free(*args), lambda: _fastcore.run(*args, 0, None)):
         try:
             call()
         except (TypeError, ValueError) as exc:
@@ -287,7 +287,7 @@ from indmatch import _fastcore
 
 def raises(exc, write, labels):
     try:
-        _fastcore.run(2, [0], [1], b"\1", "general", 0, write, labels)
+        _fastcore.run(2, [0], [1], b"\1", 0, write, labels)
     except exc:
         return
     raise AssertionError((exc, labels))
@@ -306,6 +306,17 @@ name = [LABELS[v % len(LABELS)] + str(v) for v in range(g.n)]
 big = check("".join(f"{name[u]} {name[v]}\n" for u, v in zip(g.eu, g.ev)), brute=False)
 assert len(big) > 2 * 65536, len(big)
 print("cli output identical")
+"""
+
+
+# K_{2,100000}: full of 4-cycles, with 200 000 edges, under `auto`
+MANY_4_CYCLES = r"""
+from indmatch import DynamicGraph, EnumConfig, count_induced_matchings, native_available
+
+assert native_available()
+n = 100000
+g = DynamicGraph(n + 2, [(hub, 2 + i) for i in range(n) for hub in (0, 1)])
+print(count_induced_matchings(g, EnumConfig(solution_cutoff=1000)))
 """
 
 
@@ -349,6 +360,11 @@ def test_cli_lines_match_python_and_brute(built, tmp_path):
     check = run_check(built, RENDER, tmp_path)
     assert check.returncode == 0, check.stdout + check.stderr
     assert "cli output identical" in check.stdout
+
+
+def test_many_4_cycles_run_natively(built, tmp_path):
+    run = run_check(built, MANY_4_CYCLES, tmp_path)
+    assert (run.returncode, run.stdout) == (0, "1000\n"), run.stderr
 
 
 def test_native_parametrised_tests_pass(built):

@@ -6,7 +6,17 @@ import random
 
 import pytest
 
-from indmatch import BenchRow, DynamicGraph, EnumConfig, EnumStats, GenSpec, bench, is_c4_free, rows_to_csv
+from indmatch import (
+    BenchRow,
+    DynamicGraph,
+    EnumConfig,
+    EnumStats,
+    GenSpec,
+    ListSink,
+    bench,
+    is_c4_free,
+    rows_to_csv,
+)
 from indmatch.enumerate import native_available
 from indmatch.stats import CSV_HEADER, enumerate_with_stats
 
@@ -39,13 +49,18 @@ class TestEnumerateWithStats:
         assert st.d2_total == 3
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_c6_general_frozen_counters(self, backend):
-        g = cycle_graph(6)
-        count, st = enumerate_with_stats(g, EnumConfig(algorithm="general", backend=backend))
-        assert count == 10
-        assert st.iterations == 19
-        assert st.max_depth == 6
-        assert st.edge_deletions == st.edge_restorations == 30
+    def test_every_algorithm_name_runs_one_engine(self, backend, rng):
+        c4free_seen = set()
+        for _ in range(60):
+            g = random_graph(rng)
+            c4free_seen.add(is_c4_free(g))
+            runs = []
+            for algo in ("general", "c4free", "auto"):
+                sink = ListSink()
+                _, st = enumerate_with_stats(g, EnumConfig(algorithm=algo, backend=backend), sink)
+                runs.append((sink.solutions, st))
+            assert runs[0] == runs[1] == runs[2]
+        assert c4free_seen == {True, False}
 
     def test_brute_fallback_counts(self):
         count, st = enumerate_with_stats(path_graph(5), EnumConfig(algorithm="brute"))
