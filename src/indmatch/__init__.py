@@ -1,11 +1,12 @@
 """Enumeration of induced matchings, with a constant-amortized-time
 multi-way partition algorithm for C4-free graphs.
 
-The hot enumeration kernels, the C4-freeness check and the edge-list
-parser have a native implementation in `indmatch._fastcore`, plain C
-compiled by `setup.py`; when it is not built, a pure-Python twin is used.  `native_available()`
+The partition engine and the edge-list parser have a native
+implementation in `indmatch._fastcore`, plain C compiled by `setup.py`;
+when it is not built, a pure-Python twin is used.  `native_available()`
 reports which one is active, and `EnumConfig.backend`
-(auto|python|native) pins a choice for the enumeration.
+(auto|python|native) pins a choice for the enumeration.  The C4-freeness
+check runs in Python.
 
 The names below resolve on first access (PEP 562), each importing only
 the submodule that defines it, so that `indmatch.cli` on the native path

@@ -9,17 +9,12 @@
    Structural assertion checks stay in the Python engine; this module
    only enumerates and counts.
 
-   Entry points, and what each sets up:
-   - c4free(n, eu, ev, alive_mask) -> bool, the C4-freeness check of
-     indmatch/analysis.py: is_c4_free.  Only the graph set-up
-     (graph_init: the edges checked, the live ones linked into
-     per-vertex lists, degrees, one vertex and edge mark set), plus a
-     degree ranking for the scan.
+   Entry points:
    - run(n, eu, ev, alive_mask, cutoff, emit, labels=None) -> dict, the
-     enumeration.  The graph set-up, then the engine set-up
-     (engine_init: degree buckets, undo log, matching stack), then the
-     engine's classification arrays and frame arena (c4free_init).  With
-     vertex labels given, it also renders each solution's canonical line
+     enumeration.  One set-up (run_init) checks the edges, links the
+     live ones into per-vertex lists and allocates the engine's arrays;
+     the frame arena and sector buffers grow on use.  With vertex
+     labels given, it also renders each solution's canonical line
      (indmatch/edgelist.py: solution_line) into a byte buffer and hands
      the buffer to a Python writer once per chunk (lines_init).
    - parse(text) -> (labels, eu, ev) or None, the edge-list parser of
@@ -286,20 +281,29 @@ static int endpoint(PyObject *list, Py_ssize_t i, int n, int *out)
     return 0;
 }
 
-/* The graph set-up shared by c4free() and run(): the edges checked,
-   the live ones linked, their degrees and the mark set. */
-static int graph_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *mask)
+/* The set-up run() makes before the enumeration: the edges checked, the
+   live ones linked, their degrees, the mark set, the degree buckets, the
+   undo log and matching, and the engine's classification scratch; its
+   frames and sector buffers grow on use. */
+static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *mask)
 {
     const char *alive_mask = PyBytes_AS_STRING(mask);
-    int **per_vertex[] = {&r->head, &r->deg, &r->vmark, NULL};
-    int **per_edge[] = {&r->eu, &r->ev, &r->emark, NULL};
+    size_t sn = (size_t)n + 1;
+    int **per_vertex[] = {&r->head, &r->deg, &r->vmark, &r->bhead, &r->btail, &r->bnxt,
+                          &r->bprv, &r->bucket, &r->vdist, &r->lvl1, &r->lvl2, &r->pcnt,
+                          &r->poff, &r->pcur, &r->scnt, &r->utoslot, NULL};
+    /* ppar holds one parent pair per 1-2 edge, so m is a hard bound */
+    int **per_edge[] = {&r->eu, &r->ev, &r->emark, &r->ulog, &r->mstack, &r->t01, &r->t11,
+                        &r->t12, &r->td2, &r->ppar, &r->pbuf_u, &r->pbuf_f, NULL};
     r->n = n;
     r->m = m;
-    ints_each(r, (size_t)n + 1, per_vertex);
+    ints_each(r, sn, per_vertex);
     ints_each(r, (size_t)m + 1, per_edge);
     /* dynamic adjacency: edge e owns arcs 2e (at eu) and 2e+1 (at ev) */
     r->nxt = ints(r, 2 * (size_t)m + 1);
     r->prv = ints(r, 2 * (size_t)m + 1);
+    r->anchors = ints(r, 2 * sn + 2);
+    r->jcur = take(r, sn, sizeof(size_t));
     if (r->oom)
         return -1;
     for (int e = 0; e < m; e++) {
@@ -336,71 +340,14 @@ static int graph_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject
         if (r->deg[v] > r->cap)
             r->cap = r->deg[v];
     }
-    return 0;
-}
-
-/* The engine set-up run() adds: degree buckets, undo log and matching. */
-static int engine_init(Run *r)
-{
-    int **per_vertex[] = {&r->bhead, &r->btail, &r->bnxt, &r->bprv, &r->bucket, NULL};
-    int **per_edge[] = {&r->ulog, &r->mstack, NULL};
-    ints_each(r, (size_t)r->n + 1, per_vertex);
-    ints_each(r, (size_t)r->m + 1, per_edge);
-    if (r->oom)
-        return -1;
     /* vertices inserted at the tail in id order, so pivot ties break
        toward the most recently inserted vertex */
     for (int d = 0; d <= r->cap; d++)
         r->bhead[d] = r->btail[d] = -1;
     r->maxb = -1;
-    for (int v = 0; v < r->n; v++)
+    for (int v = 0; v < n; v++)
         binsert(r, v, r->deg[v]);
     return 0;
-}
-
-/* -- C4 check -------------------------------------------------------- */
-
-/* 1 when the live graph has no 4-cycle, that is, no two vertices share
-   two neighbours; 0 when it has one; -1 on a pending signal or no memory.
-   The vertices are ranked by degree (ties by id), and from each v the
-   scan follows only the 2-paths v-u-w whose u and w rank below v,
-   stopping at an end w reached twice.  A 4-cycle is found from its
-   top-ranked vertex (Chiba and Nishizeki 1985).  Walking u's list costs
-   deg(u) <= deg(v), the smaller degree of the edge v-u; these minima sum
-   to O(m sqrt(m)), and to O(n) on a star. */
-static int scan_c4free(Run *r)
-{
-    int *rank = ints(r, (size_t)r->n + 1), *below = ints(r, (size_t)r->cap + 2);
-    long long steps = 0;
-    if (r->oom)
-        return -1;
-    /* counting sort: after the prefix sums, below[d] counts the vertices
-       of degree under d */
-    for (int v = 0; v < r->n; v++)
-        below[r->deg[v] + 1]++;
-    for (int d = 0; d <= r->cap; d++)
-        below[d + 1] += below[d];
-    for (int v = 0; v < r->n; v++)
-        rank[v] = below[r->deg[v]]++;
-    for (int v = 0; v < r->n; v++) {
-        int ep = next_epoch(r);
-        for (int a = r->head[v]; a != -1; a = r->nxt[a]) {
-            int u = (a & 1) ? r->eu[a >> 1] : r->ev[a >> 1];
-            if (rank[u] > rank[v])
-                continue;
-            for (int b = r->head[u]; b != -1; b = r->nxt[b]) {
-                int w = (b & 1) ? r->eu[b >> 1] : r->ev[b >> 1];
-                if ((++steps & SIGNAL_TICK) == 0 && PyErr_CheckSignals() < 0)
-                    return -1;
-                if (rank[w] >= rank[v])
-                    continue;
-                if (r->vmark[w] == ep)
-                    return 0;
-                r->vmark[w] = ep;
-            }
-        }
-    }
-    return 1;
 }
 
 /* -- line rendering -------------------------------------------------- */
@@ -600,22 +547,6 @@ OUT_OF_LINE static int emit(Run *r)
 
 /* -- multi-way partition engine ------------------------------------- */
 
-/* The engine's scratch; its frames and sector buffers grow on use. */
-static int c4free_init(Run *r)
-{
-    size_t sn = (size_t)r->n + 1;
-    int **per_vertex[] = {&r->vdist, &r->lvl1, &r->lvl2, &r->pcnt, &r->poff, &r->pcur,
-                          &r->scnt, &r->utoslot, NULL};
-    /* ppar holds one parent pair per 1-2 edge, so m is a hard bound */
-    int **per_edge[] = {&r->t01, &r->t11, &r->t12, &r->td2, &r->ppar, &r->pbuf_u, &r->pbuf_f,
-                        NULL};
-    ints_each(r, sn, per_vertex);
-    ints_each(r, (size_t)r->m + 1, per_edge);
-    r->anchors = ints(r, 2 * sn + 2);
-    r->jcur = take(r, sn, sizeof(size_t));
-    return r->oom ? -1 : 0;
-}
-
 static int rec_c4free(Run *r)
 {
     r->iterations++;
@@ -637,7 +568,7 @@ static int rec_c4free(Run *r)
     /* pivot star: the 0-1 edges and the distance-1 ring.  The 0-1 edges
        are stored back to front, which is ascending edge id, the child
        order: every adjacency list is in descending edge id, since
-       graph_init head-inserts in ascending order, removals keep the order
+       run_init head-inserts in ascending order, removals keep the order
        and rollbacks restore it. */
     nd01 = r->deg[v];
     for (a = r->head[v], k = nd01; a != -1; a = r->nxt[a]) {
@@ -1004,33 +935,25 @@ PyDoc_STRVAR(run_doc,
 "receives the solutions' canonical lines as UTF-8 bytes, one call per\n"
 "64 KiB chunk.  Returns the instrumentation counters as a dict.");
 
-/* The edge count of the graph arguments, or -1 with an exception set. */
-static int graph_size(int n, PyObject *eu, PyObject *ev, PyObject *mask)
-{
-    Py_ssize_t m = PyList_GET_SIZE(eu);
-    if (PyList_GET_SIZE(ev) != m || PyBytes_GET_SIZE(mask) != m) {
-        PyErr_SetString(PyExc_ValueError, "eu, ev and alive_mask must have equal length");
-        return -1;
-    }
-    if (n < 0 || m >= INT_MAX / 2) {
-        PyErr_SetString(PyExc_ValueError, "graph size out of range");
-        return -1;
-    }
-    return (int)m;
-}
-
 static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "eu", "ev", "alive_mask", "cutoff", "emit", "labels", NULL};
-    int n, m, status;
+    int n, status;
     long long cutoff;
     PyObject *eu, *ev, *mask, *sink, *labels = Py_None;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!LO|O:run", kwlist, &n,
                                      &PyList_Type, &eu, &PyList_Type, &ev, &PyBytes_Type,
                                      &mask, &cutoff, &sink, &labels))
         return NULL;
-    if ((m = graph_size(n, eu, ev, mask)) < 0)
+    Py_ssize_t m = PyList_GET_SIZE(eu);
+    if (PyList_GET_SIZE(ev) != m || PyBytes_GET_SIZE(mask) != m) {
+        PyErr_SetString(PyExc_ValueError, "eu, ev and alive_mask must have equal length");
         return NULL;
+    }
+    if (n < 0 || m >= INT_MAX / 2) {
+        PyErr_SetString(PyExc_ValueError, "graph size out of range");
+        return NULL;
+    }
     if (labels != Py_None && sink == Py_None) {
         PyErr_SetString(PyExc_ValueError, "labels need a writer");
         return NULL;
@@ -1040,13 +963,9 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs
         return PyErr_NoMemory();
     r->cutoff = cutoff;
     r->emit = sink == Py_None ? NULL : sink;
-    status = graph_init(r, n, m, eu, ev, mask);
-    if (status == 0)
-        status = engine_init(r);
+    status = run_init(r, n, (int)m, eu, ev, mask);
     if (status == 0 && labels != Py_None)
         status = lines_init(r, labels);
-    if (status == 0)
-        status = c4free_init(r);
     if (status == 0)
         status = rec_c4free(r);
     if (status == 0 && r->labels != NULL)
@@ -1061,36 +980,8 @@ static PyObject *run(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs
     return res;
 }
 
-PyDoc_STRVAR(c4free_doc,
-"c4free(n, eu, ev, alive_mask) -> bool\n\n"
-"True iff the graph given as edge arrays, restricted to the edges with\n"
-"`alive_mask[e]` set, has no 4-cycle.  The arguments are checked as\n"
-"run() checks them.");
-
-static PyObject *c4free(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "eu", "ev", "alive_mask", NULL};
-    int n, m, status;
-    PyObject *eu, *ev, *mask;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iO!O!O!:c4free", kwlist, &n, &PyList_Type,
-                                     &eu, &PyList_Type, &ev, &PyBytes_Type, &mask))
-        return NULL;
-    if ((m = graph_size(n, eu, ev, mask)) < 0)
-        return NULL;
-    Run *r = calloc(1, sizeof(Run));
-    if (r == NULL)
-        return PyErr_NoMemory();
-    status = graph_init(r, n, m, eu, ev, mask);
-    if (status == 0)
-        status = scan_c4free(r);
-    run_free(r);
-    free(r);
-    return status < 0 ? NULL : PyBool_FromLong(status);
-}
-
 static PyMethodDef methods[] = {
     {"run", (PyCFunction)(void (*)(void))run, METH_VARARGS | METH_KEYWORDS, run_doc},
-    {"c4free", (PyCFunction)(void (*)(void))c4free, METH_VARARGS | METH_KEYWORDS, c4free_doc},
     {"parse", parse, METH_O, parse_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -1098,8 +989,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "indmatch._fastcore",
-    .m_doc = "Native kernel of the multi-way partition enumerator, the\n"
-             "C4-freeness check and the edge-list parser.",
+    .m_doc = "Native kernel of the multi-way partition enumerator and the\n"
+             "edge-list parser.",
     .m_size = -1,
     .m_methods = methods,
 };

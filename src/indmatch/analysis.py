@@ -6,11 +6,6 @@ from ._record import Record
 from .errors import InfeasibleSpec
 from .graph import DynamicGraph
 
-try:
-    from . import _fastcore
-except ImportError:  # pure-Python fallback only
-    _fastcore = None
-
 FAMILIES = ("path", "cycle", "star", "randomtree", "randomgirth5")
 
 
@@ -42,27 +37,12 @@ def is_c4_free(g: DynamicGraph) -> bool:
     """True iff no 4-cycle subgraph exists in the live graph.
 
     Equivalent formulation: no two distinct vertices share two or more
-    common neighbors.  The check runs in the native kernel when it is
-    built, and in `is_c4_free_python` otherwise; both give the same
-    answer on every simple graph.  The kernel checks its input as the
-    native engine does: a non-int endpoint raises `TypeError`, an
-    endpoint out of range, a self-loop or a live parallel edge
-    `ValueError`.
-    """
-    if _fastcore is not None:
-        return _fastcore.c4free(g.n, g.eu, g.ev, bytes(g.alive_edge))
-    return is_c4_free_python(g)
-
-
-def is_c4_free_python(g: DynamicGraph) -> bool:
-    """The pure-Python C4 check, and the reference for the native one.
-
-    Ranks the vertices by degree (ties by id) and, from each vertex v,
-    follows only the 2-paths v-u-w whose u and w rank below v, stopping
-    at the first w reached twice.  A 4-cycle is found from its top-ranked
-    vertex (Chiba and Nishizeki 1985).  Walking u's list costs
-    deg(u) <= deg(v), the smaller degree of the edge v-u; these minima sum
-    to O(m * sqrt(m)), and to O(n) on a star.
+    common neighbors.  Ranks the vertices by degree (ties by id) and,
+    from each vertex v, follows only the 2-paths v-u-w whose u and w rank
+    below v, stopping at the first w reached twice.  A 4-cycle is found
+    from its top-ranked vertex (Chiba and Nishizeki 1985).  Walking u's
+    list costs deg(u) <= deg(v), the smaller degree of the edge v-u;
+    these minima sum to O(m * sqrt(m)), and to O(n) on a star.
     """
     rank = [0] * g.n
     for i, v in enumerate(sorted(range(g.n), key=g.degree.__getitem__)):

@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import analysis, edgelist
-from .enumerate import ALGORITHMS, CountingSink, EnumConfig, enumerate_solutions
+from .enumerate import ALGORITHMS, BACKENDS, CountingSink, EnumConfig, enumerate_solutions
 from .errors import (
     BackendUnavailable,
     IndmatchError,
@@ -33,6 +33,21 @@ def _read_text(path: str) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def _write_text(path: str, text: str) -> int:
+    """Writes text to stdout for `-`, else to the file at path; a file
+    that cannot be opened or written is an error with exit status 2."""
+    if path == "-":
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def _read_graph(path: str):
@@ -108,13 +123,7 @@ def cmd_gen(args) -> int:
     except IndmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    text = edgelist.serialize_edge_list(g)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return EXIT_OK
+    return _write_text(args.output, edgelist.serialize_edge_list(g))
 
 
 def _parse_spec_file(text: str) -> list[analysis.GenSpec]:
@@ -159,13 +168,7 @@ def cmd_bench(args) -> int:
     except (InfeasibleSpec, BackendUnavailable) as exc:  # a spec or backend that cannot run
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    csv_text = stats.rows_to_csv(rows)
-    if args.output == "-":
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-    return EXIT_OK
+    return _write_text(args.output, stats.rows_to_csv(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--assert", dest="assert_mode", action="store_true",
                     help="check the C4-free lemmas at every iteration under c4free, "
                          "or auto on a C4-free graph (python backend)")
-    pe.add_argument("--backend", choices=["auto", "python", "native"], default="auto")
+    pe.add_argument("--backend", choices=BACKENDS, default="auto")
     pe.set_defaults(func=cmd_enumerate)
 
     pc = sub.add_parser("check", help="report C4-freeness, girth and sizes")
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--algos", default="c4free")
     pb.add_argument("--cutoff", type=_cutoff, default=None)
     pb.add_argument("--repeats", type=int, default=3)
-    pb.add_argument("--backend", choices=["auto", "python", "native"], default="auto")
+    pb.add_argument("--backend", choices=BACKENDS, default="auto")
     pb.add_argument("output")
     pb.set_defaults(func=cmd_bench)
 

@@ -40,6 +40,7 @@ except ImportError:  # pure-Python fallback only
 
 Sink = Callable[[tuple], object]
 ALGORITHMS = ("auto", "brute", "general", "c4free")
+BACKENDS = ("auto", "python", "native")
 
 
 def native_available() -> bool:
@@ -54,7 +55,7 @@ class EnumConfig(Record):
         algorithm: str = "auto",  # one of ALGORITHMS
         assertion_mode: bool = False,
         solution_cutoff: int | None = None,
-        backend: str = "auto",  # auto | python | native
+        backend: str = "auto",  # one of BACKENDS
     ):
         self.algorithm = algorithm
         self.assertion_mode = assertion_mode
@@ -322,6 +323,8 @@ def _run(g: DynamicGraph, sink: Sink, config: EnumConfig | None, algo: str, stat
     config = config or EnumConfig()
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
+    if config.backend not in BACKENDS:
+        raise ValueError(f"unknown backend {config.backend!r}")
     cutoff = config.solution_cutoff
     if isinstance(sink, CountingSink) and sink.cutoff is not None:
         cutoff = sink.cutoff if cutoff is None else min(cutoff, sink.cutoff)

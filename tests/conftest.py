@@ -23,7 +23,7 @@ def star_graph(k):
 
 def double_star_graph(k):
     """Hubs 0 and 1 joined by an edge, the other k-2 vertices split between them."""
-    half = k // 2
+    half = max(2, k // 2)
     return DynamicGraph(k, [(0, 1)] + [(0, i) for i in range(2, half)]
                         + [(1, i) for i in range(half, k)])
 

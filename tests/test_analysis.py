@@ -5,7 +5,7 @@ import random
 import pytest
 
 from indmatch import DynamicGraph, GenSpec, generate, girth, is_c4_free
-from indmatch.analysis import SplitMix64, is_c4_free_python
+from indmatch.analysis import SplitMix64
 from indmatch.errors import InfeasibleSpec
 
 from conftest import (
@@ -38,39 +38,73 @@ class TestSplitMix64:
         assert all(0 <= r.below(10) < 10 for _ in range(100))
 
 
-# `is_c4_free` runs in the native kernel when it is built; the pure-Python
-# check is tested directly too, so it stays covered either way.
-@pytest.mark.parametrize("c4_free", [is_c4_free, is_c4_free_python])
 class TestC4Free:
-    def test_small_shapes(self, c4_free):
-        assert c4_free(DynamicGraph(0, []))
-        assert c4_free(cycle_graph(5))
-        assert not c4_free(cycle_graph(4))
-        assert c4_free(path_graph(6))
-        assert not c4_free(DynamicGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    def test_small_shapes(self):
+        assert is_c4_free(DynamicGraph(0, []))
+        assert is_c4_free(DynamicGraph(4, []))
+        assert is_c4_free(cycle_graph(5))
+        assert not is_c4_free(cycle_graph(4))
+        assert is_c4_free(path_graph(6))
+        assert not is_c4_free(DynamicGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
 
-    def test_respects_removals(self, c4_free):
+    def test_respects_removals(self):
         g = cycle_graph(4)
         g.remove_edge(0)
-        assert c4_free(g)
+        assert is_c4_free(g)
 
-    def test_agrees_with_exhaustive_search(self, c4_free):
+    def test_agrees_with_exhaustive_search(self):
         rng = random.Random(31337)
-        for _ in range(120):
-            g = random_graph(rng, n_max=10)
-            assert c4_free(g) == (not has_four_cycle(g))
+        found = set()
+        for _ in range(600):
+            # edges in either orientation, then again with about a quarter
+            # of them removed
+            n = rng.randint(0, 11)
+            pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            chosen = rng.sample(pool, rng.randint(0, min(len(pool), 18)))
+            g = DynamicGraph(n, [p[::rng.choice((1, -1))] for p in chosen])
+            assert is_c4_free(g) == (not has_four_cycle(g))
+            for e in range(g.m):
+                if rng.random() < 0.25:
+                    g.remove_edge(e)
+            got = is_c4_free(g)
+            assert got == (not has_four_cycle(g))
+            found.add(got)
+        assert found == {True, False}
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_four_cycle(self, seed):
+        # a new vertex z next to both ends a, c of a 2-path a-b-c in a
+        # girth-5 graph closes its only 4-cycle: removing any of that
+        # cycle's edges makes the graph C4-free again
+        base = generate(GenSpec(family="randomgirth5", n=300, m=360, seed=seed))
+        assert is_c4_free(base)
+        a = next(v for v in range(base.n) if base.degree[v])
+        _, b = next(base.iter_incident(a))
+        c = next(w for _, w in base.iter_incident(b) if w != a)
+        ab = next(e for e, w in base.iter_incident(a) if w == b)
+        bc = next(e for e, w in base.iter_incident(b) if w == c)
+        z = base.n
+        g = DynamicGraph(base.n + 1, list(zip(base.eu, base.ev)) + [(a, z), (z, c)])
+        assert not is_c4_free(g)
+        for e in (ab, bc, base.m, base.m + 1):
+            g.remove_edge(e)
+            assert is_c4_free(g)
+            g.rollback(0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 40, 10**5])
     @pytest.mark.parametrize("build", [star_graph, double_star_graph, friendship_graph])
-    def test_hubs_at_scale(self, c4_free, build):
-        # every vertex is next to a hub of degree n/2 or more: a check that
-        # walks a hub's list from each of its neighbours takes quadratic time
-        g = build(10**5)
-        assert c4_free(g)
-        # the 4-cycle 0-2-z-3 through a new vertex z: 2 and 3 are both next
-        # to the hub 0
-        z = g.n
-        g = DynamicGraph(g.n + 1, list(zip(g.eu, g.ev)) + [(z, 2), (z, 3)])
-        assert not c4_free(g)
+    def test_hubs(self, build, n):
+        # at scale, every vertex is next to a hub of degree n/2 or more: a
+        # check that walks a hub's list from each of its neighbours takes
+        # quadratic time
+        g = build(n)
+        assert is_c4_free(g)
+        # from n = 5 on, the last two vertices share a hub, so a new vertex
+        # z next to both closes a 4-cycle
+        if n >= 5:
+            z = g.n
+            g = DynamicGraph(z + 1, list(zip(g.eu, g.ev)) + [(z, z - 2), (z, z - 1)])
+            assert not is_c4_free(g)
 
 
 class TestGirth:

@@ -175,6 +175,11 @@ class TestGen:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    def test_output_that_cannot_be_opened(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.txt"
+        assert main(["gen", "--family", "path", "--n", "5", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
 
 class TestBench:
     def test_csv_output(self, tmp_path, capsys):
@@ -210,6 +215,12 @@ class TestBench:
         assert main(["bench", "--spec-file", specs, "--backend", "native", "-"]) == EXIT_PARSE
         assert capsys.readouterr() == (
             "", "error: native backend requested but indmatch._fastcore is not built\n")
+
+    def test_output_that_cannot_be_opened(self, tmp_path, capsys):
+        specs = write(tmp_path, "specs.txt", "cycle 8 0\n")
+        out = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--spec-file", specs, "--repeats", "1", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
 
     def test_spec_file_that_is_not_utf8(self, tmp_path, capsys):
         specs = tmp_path / "specs.txt"

@@ -212,6 +212,10 @@ class TestSinksAndCutoffs:
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
             count_induced_matchings(cycle_graph(6), EnumConfig(algorithm="bogus", backend=backend))
 
+    def test_unknown_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            count_induced_matchings(cycle_graph(6), EnumConfig(backend="bogus"))
+
     def test_counting_sink_cutoff_flag(self):
         g = cycle_graph(8)
         sink = CountingSink(cutoff=4)

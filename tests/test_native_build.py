@@ -1,7 +1,7 @@
 """The native kernel builds from source with warnings as errors, and the
 build gives the same solution streams and counters as the Python engines,
-the same C4 checks and parsed graphs as the Python references, the same
-CLI output bytes, and stops on Ctrl-C.  The suite's native-parametrised
+the same parsed graphs as the Python reference, the same CLI output
+bytes, rejects bad arguments, and stops on Ctrl-C.  The suite's native-parametrised
 tests, which skip without a compiled core, run against the build too.
 
 The extension is compiled once by the project's own `setup.py` into a
@@ -77,88 +77,31 @@ for g in graphs:
             runs += 1
 print(runs, "runs identical")
 
-# The C4 check: kernel, Python reference and a search over vertex
-# quadruples agree, also with edges removed before the check.
-from itertools import combinations
+# bad arguments to run(): each raises its own exception and message
 from indmatch import _fastcore
-from indmatch.analysis import is_c4_free_python
 
-def native_c4free(g):
-    return _fastcore.c4free(g.n, g.eu, g.ev, bytes(g.alive_edge))
-
-def has_four_cycle(g):
-    adj = [set() for _ in range(g.n)]
-    for e in g.live_edges():
-        adj[g.eu[e]].add(g.ev[e])
-        adj[g.ev[e]].add(g.eu[e])
-    return any(x in adj[w] and y in adj[x] and z in adj[y] and w in adj[z]
-               for a, b, c, d in combinations(range(g.n), 4)
-               for w, x, y, z in ((a, b, c, d), (a, b, d, c), (a, c, b, d)))
-
-def agree(g, expected=None):
-    got = native_c4free(g)
-    assert got is is_c4_free(g) is is_c4_free_python(g), (g.n, g.eu, g.ev)
-    assert expected is None or got is expected
-    return got
-
-found = set()
-for _ in range(600):
-    n = rng.randint(0, 11)
-    pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    g = DynamicGraph(n, [p[::rng.choice((1, -1))] for p in rng.sample(pool, rng.randint(0, min(len(pool), 18)))])
-    for e in range(g.m):
-        if rng.random() < 0.25:
-            g.remove_edge(e)
-    found.add(agree(g, not has_four_cycle(g)))
-assert found == {True, False}
-agree(DynamicGraph(0, []), True)
-agree(DynamicGraph(4, []), True)
-# a 4-cycle planted in a girth-5 graph through a new vertex z next to
-# both ends a, c of a 2-path a-b-c is its only one: removing any of
-# its edges makes the graph C4-free again
-for seed in range(3):
-    base = generate(GenSpec(family="randomgirth5", n=300, m=360, seed=seed))
-    agree(base, True)
-    a = next(v for v in range(base.n) if base.degree[v])
-    _, b = next(base.iter_incident(a))
-    c = next(w for _, w in base.iter_incident(b) if w != a)
-    ab = next(e for e, w in base.iter_incident(a) if w == b)
-    bc = next(e for e, w in base.iter_incident(b) if w == c)
-    z = base.n
-    g = DynamicGraph(base.n + 1, list(zip(base.eu, base.ev)) + [(a, z), (z, c)])
-    agree(g, False)
-    for e in (ab, bc, base.m, base.m + 1):
-        g.remove_edge(e)
-        agree(g, True)
-        g.rollback(0)
-for s in range(4):
-    agree(generate(GenSpec(family="randomgirth5", n=2000, m=2400, seed=s)), True)
-# the hubs, and each with a 4-cycle through a new vertex z next to the
-# last two vertices, which share a hub
-for hub in HUBS:
-    for n in (2, 3, 4, 5, 6, 7, 40, 3001):
-        g = hub(n)
-        agree(g, True)
-        z = g.n
-        if n >= 5:
-            agree(DynamicGraph(z + 1, list(zip(g.eu, g.ev)) + [(z, z - 2), (z, z - 1)]), False)
-
-# bad arguments raise what run() raises for them
-BAD = [(2, [0], ["1"], b"\1"), (2, [0], [1.0], b"\1"), (2, [0], [2], b"\1"),
-       (2, [-1], [1], b"\1"), (2, [1], [1], b"\1"), (2, [0, 1], [1, 0], b"\1\1"),
-       (2, [0], [1], b""), (-1, [], [], b""),
-       (2, (0,), [1], b"\1"), (2, [0], [1], bytearray(b"\1"))]
-for args in BAD:
-    errors = []
-    for call in (lambda: _fastcore.c4free(*args), lambda: _fastcore.run(*args, 0, None)):
-        try:
-            call()
-        except (TypeError, ValueError) as exc:
-            errors.append((type(exc), str(exc).replace("run()", "c4free()")))
-    assert len(errors) == 2 and errors[0] == errors[1], (args, errors)
+BAD = [
+    ((2, [0], ["1"], b"\1"), TypeError, "edge 0 has a non-integer endpoint"),
+    ((2, [0], [1.0], b"\1"), TypeError, "edge 0 has a non-integer endpoint"),
+    ((2, [0], [2], b"\1"), ValueError, "edge 0 has endpoint 2 outside 0..1"),
+    ((2, [-1], [1], b"\1"), ValueError, "edge 0 has endpoint -1 outside 0..1"),
+    ((2, [1], [1], b"\1"), ValueError, "edge 0 is a self-loop"),
+    ((2, [0, 1], [1, 0], b"\1\1"), ValueError, "vertices 0 and 1 share two edges"),
+    ((2, [0], [1], b""), ValueError, "eu, ev and alive_mask must have equal length"),
+    ((-1, [], [], b""), ValueError, "graph size out of range"),
+    ((2, (0,), [1], b"\1"), TypeError, "run() argument 2 must be list, not tuple"),
+    ((2, [0], [1], bytearray(b"\1")), TypeError, "run() argument 4 must be bytes, not bytearray"),
+]
+for args, exc, message in BAD:
+    try:
+        _fastcore.run(*args, 0, None)
+    except (TypeError, ValueError) as got:
+        assert (type(got), str(got)) == (exc, message), (args, got)
+    else:
+        raise AssertionError(args)
 # only live edges count: a removed parallel edge is no error
-assert _fastcore.c4free(2, [0, 1], [1, 0], b"\1\0") is True
-print("c4 checks identical")
+assert _fastcore.run(2, [0, 1], [1, 0], b"\1\0", 0, None)["solutions"] == 2
+print("argument errors pinned")
 
 # The edge-list parser: kernel and Python reference give the same graph
 # or the same exception, on texts over every line boundary and every
@@ -352,7 +295,7 @@ def test_kernel_builds_cleanly_and_matches_python(built, tmp_path):
     check = run_check(built, CHECK, tmp_path)
     assert check.returncode == 0, check.stdout + check.stderr
     assert "runs identical" in check.stdout
-    assert "c4 checks identical" in check.stdout
+    assert "argument errors pinned" in check.stdout
     assert "parses identical" in check.stdout
 
 
