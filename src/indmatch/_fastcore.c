@@ -13,7 +13,7 @@
    - run(n, eu, ev, alive_mask, cutoff, emit, labels=None) -> dict, the
      enumeration.  One set-up (run_init) checks the edges, links the
      live ones into per-vertex lists and allocates the engine's arrays;
-     the frame arena and sector buffers grow on use.  With vertex
+     only the frame arena grows on use.  With vertex
      labels given, it also renders each solution's canonical line
      (indmatch/edgelist.py: solution_line) into a byte buffer and hands
      the buffer to a Python writer once per chunk (lines_init).
@@ -35,9 +35,9 @@
 #define CHUNK (64 * 1024)
 /* iterations between two checks for a pending signal (Ctrl-C) */
 #define SIGNAL_TICK 0xFFFF
-/* for the callees of rec_c4free that run once per solution or push:
-   inlined, they would enlarge its stack frame, which every recursion
-   level pays */
+/* for the callees of rec_c4free that run once per solution, push or d2
+   edge: inlined, they would enlarge its stack frame, which every
+   recursion level pays */
 #if defined(__GNUC__)
 #define OUT_OF_LINE __attribute__((noinline))
 #else
@@ -52,17 +52,18 @@ typedef struct {
     int *vmark, *emark;
     int epoch;
     /* engine: degree buckets, undo log (edge removals only), matching */
-    int *bhead, *btail, *bnxt, *bprv, *bucket;
+    int *bhead, *btail, *bnxt, *bprv;
     int maxb;
     int *ulog, *mstack;
     int ulen, msize;
-    /* classification scratch and per-iteration frames */
-    int *vdist, *lvl1, *lvl2, *t01, *t11, *t12, *td2;
-    int *pcnt, *poff, *pcur, *ppar, *pbuf_u, *pbuf_f, *anchors;
-    int *sbuf_u, *sbuf_f;
-    size_t ucap, fcap;
-    int *scnt, *utoslot;
-    size_t *jcur;
+    /* classification scratch: each vertex's distance, the distance-2
+       ring, the four edge classes, each distance-2 vertex's parents
+       (ppar[poff..poff+pcnt)), one d2 edge's anchors, and per distance-1
+       vertex its sector's size and then its write cursor in the frame */
+    int *vdist, *lvl2, *t01, *t11, *t12, *td2;
+    int *pcnt, *poff, *ppar, *anchors;
+    size_t *scnt;
+    /* per-iteration frames */
     int *arena;
     size_t acap, atop;
     /* counters / control */
@@ -117,8 +118,6 @@ static void run_free(Run *r)
 {
     for (int i = 0; i < r->nbufs; i++)
         free(r->bufs[i]);
-    free(r->sbuf_u);
-    free(r->sbuf_f);
     free(r->arena);
     free(r->texts);
     free(r->cur);
@@ -181,22 +180,21 @@ static void binsert(Run *r, int v, int d)
     else
         r->bnxt[t] = v;
     r->btail[d] = v;
-    r->bucket[v] = d;
     if (d > r->maxb)
         r->maxb = d;
 }
 
+/* Moves v from bucket `old`, its degree before the change, to `new`. */
 static void bmove(Run *r, int v, int old, int new)
 {
-    int d = r->bucket[v];
     int p = r->bprv[v];
     int nn = r->bnxt[v];
     if (p == -1)
-        r->bhead[d] = nn;
+        r->bhead[old] = nn;
     else
         r->bnxt[p] = nn;
     if (nn == -1)
-        r->btail[d] = p;
+        r->btail[old] = p;
     else
         r->bprv[nn] = p;
     binsert(r, v, new);
@@ -284,17 +282,18 @@ static int endpoint(PyObject *list, Py_ssize_t i, int n, int *out)
 /* The set-up run() makes before the enumeration: the edges checked, the
    live ones linked, their degrees, the mark set, the degree buckets, the
    undo log and matching, and the engine's classification scratch; its
-   frames and sector buffers grow on use. */
+   frames grow on use. */
 static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *mask)
 {
     const char *alive_mask = PyBytes_AS_STRING(mask);
     size_t sn = (size_t)n + 1;
+    /* anchors are distinct distance-1 vertices, so n bounds them */
     int **per_vertex[] = {&r->head, &r->deg, &r->vmark, &r->bhead, &r->btail, &r->bnxt,
-                          &r->bprv, &r->bucket, &r->vdist, &r->lvl1, &r->lvl2, &r->pcnt,
-                          &r->poff, &r->pcur, &r->scnt, &r->utoslot, NULL};
-    /* ppar holds one parent pair per 1-2 edge, so m is a hard bound */
+                          &r->bprv, &r->vdist, &r->lvl2, &r->pcnt, &r->poff, &r->anchors,
+                          NULL};
+    /* ppar holds one parent per 1-2 edge, so m is a hard bound */
     int **per_edge[] = {&r->eu, &r->ev, &r->emark, &r->ulog, &r->mstack, &r->t01, &r->t11,
-                        &r->t12, &r->td2, &r->ppar, &r->pbuf_u, &r->pbuf_f, NULL};
+                        &r->t12, &r->td2, &r->ppar, NULL};
     r->n = n;
     r->m = m;
     ints_each(r, sn, per_vertex);
@@ -302,8 +301,7 @@ static int run_init(Run *r, int n, int m, PyObject *eu, PyObject *ev, PyObject *
     /* dynamic adjacency: edge e owns arcs 2e (at eu) and 2e+1 (at ev) */
     r->nxt = ints(r, 2 * (size_t)m + 1);
     r->prv = ints(r, 2 * (size_t)m + 1);
-    r->anchors = ints(r, 2 * sn + 2);
-    r->jcur = take(r, sn, sizeof(size_t));
+    r->scnt = take(r, sn, sizeof(size_t));
     if (r->oom)
         return -1;
     for (int e = 0; e < m; e++) {
@@ -547,6 +545,26 @@ OUT_OF_LINE static int emit(Run *r)
 
 /* -- multi-way partition engine ------------------------------------- */
 
+/* The anchors of d2 edge f, each once, into r->anchors: the parents of
+   its endpoints at distance 2.  A C4-free graph gives at most two. */
+OUT_OF_LINE static int anchors_of(Run *r, int f)
+{
+    int ep = r->epoch, na = 0;
+    for (int k = 0; k < 2; k++) {
+        int x = k ? r->ev[f] : r->eu[f];
+        if (r->vmark[x] != ep || r->vdist[x] != 2)
+            continue;
+        for (int j = r->poff[x]; j < r->poff[x] + r->pcnt[x]; j++) {
+            int p = r->ppar[j], t;
+            for (t = 0; t < na && r->anchors[t] != p; t++)
+                ;
+            if (t == na)
+                r->anchors[na++] = p;
+        }
+    }
+    return na;
+}
+
 static int rec_c4free(Run *r)
 {
     r->iterations++;
@@ -559,34 +577,34 @@ static int rec_c4free(Run *r)
     r->internal++;
     const int *eu = r->eu, *ev = r->ev;
     int v = r->btail[r->maxb];
-    int a, e, u, w, x, p, f, i, j, k, t, na;
-    int nd01 = 0, nd11 = 0, nd12 = 0, nd2 = 0, nl1 = 0, nl2 = 0, npp = 0, nsb = 0;
+    int a, e, u, w, x, f, i, j, k, t, na;
+    int nd01 = 0, nd11 = 0, nd12 = 0, nd2 = 0, nl2 = 0, nsb = 0;
     int ep = next_epoch(r);
     r->vmark[v] = ep;
     r->vdist[v] = 0;
 
-    /* pivot star: the 0-1 edges and the distance-1 ring.  The 0-1 edges
-       are stored back to front, which is ascending edge id, the child
-       order: every adjacency list is in descending edge id, since
-       run_init head-inserts in ascending order, removals keep the order
-       and rollbacks restore it. */
+    /* pivot star: the 0-1 edges, whose far ends are the distance-1 ring
+       (the live graph is simple), each with an empty sector count.  The
+       0-1 edges are stored back to front, which is ascending edge id,
+       the child order: every adjacency list is in descending edge id,
+       since run_init head-inserts in ascending order, removals keep the
+       order and rollbacks restore it. */
     nd01 = r->deg[v];
     for (a = r->head[v], k = nd01; a != -1; a = r->nxt[a]) {
         e = a >> 1;
         u = (a & 1) ? eu[e] : ev[e];
         r->t01[--k] = e;
         r->emark[e] = ep;
-        if (r->vmark[u] != ep) {
-            r->vmark[u] = ep;
-            r->vdist[u] = 1;
-            r->lvl1[nl1++] = u;
-        }
+        r->vmark[u] = ep;
+        r->vdist[u] = 1;
+        r->scnt[u] = 0;
     }
 
-    /* edges leaving the distance-1 ring: 1-1 and 1-2, plus the parent
-       (anchor) of each distance-2 vertex per 1-2 edge */
-    for (i = 0; i < nl1; i++) {
-        u = r->lvl1[i];
+    /* edges leaving the distance-1 ring, walked in star order: 1-1 and
+       1-2, and the distance-2 ring */
+    for (k = nd01 - 1; k >= 0; k--) {
+        e = r->t01[k];
+        u = eu[e] == v ? ev[e] : eu[e];
         for (a = r->head[u]; a != -1; a = r->nxt[a]) {
             e = a >> 1;
             if (r->emark[e] == ep)
@@ -597,63 +615,43 @@ static int rec_c4free(Run *r)
                 r->t11[nd11++] = e;
                 continue;
             }
-            if (r->vmark[w] == ep) {
-                r->pcnt[w]++;
-            } else {
+            if (r->vmark[w] != ep) {
                 r->vmark[w] = ep;
                 r->vdist[w] = 2;
                 r->lvl2[nl2++] = w;
-                r->pcnt[w] = 1;
             }
             r->t12[nd12++] = e;
-            r->pbuf_u[npp] = w;
-            r->pbuf_f[npp++] = u;
         }
     }
 
-    /* everything unmarked at the distance-2 ring is a d2 edge */
-    for (i = 0; i < nl2; i++)
-        for (a = r->head[r->lvl2[i]]; a != -1; a = r->nxt[a])
-            if (r->emark[a >> 1] != ep) {
-                r->emark[a >> 1] = ep;
-                r->td2[nd2++] = a >> 1;
-            }
-
-    /* group the parent pairs per distance-2 vertex (stable) */
+    /* the distance-2 ring: an unmarked edge is a d2 edge; a marked one
+       whose far end is at distance 1 is a 1-2 edge, and that far end is
+       a parent of the ring vertex, stored in ppar with the others */
     for (i = 0, k = 0; i < nl2; i++) {
         x = r->lvl2[i];
-        r->poff[x] = r->pcur[x] = k;
-        k += r->pcnt[x];
-    }
-    for (i = 0; i < npp; i++)
-        r->ppar[r->pcur[r->pbuf_u[i]]++] = r->pbuf_f[i];
-
-    /* sector pairs (anchor vertex, d2 edge) in d2 order, anchors
-       deduplicated per edge */
-    for (i = 0; i < nd2; i++) {
-        f = r->td2[i];
-        na = 0;
-        for (k = 0; k < 2; k++) {
-            x = k ? ev[f] : eu[f];
-            if (r->vmark[x] != ep || r->vdist[x] != 2)
+        r->poff[x] = k;
+        for (a = r->head[x]; a != -1; a = r->nxt[a]) {
+            e = a >> 1;
+            if (r->emark[e] != ep) {
+                r->emark[e] = ep;
+                r->td2[nd2++] = e;
                 continue;
-            for (j = r->poff[x]; j < r->poff[x] + r->pcnt[x]; j++) {
-                p = r->ppar[j];
-                for (t = 0; t < na && r->anchors[t] != p; t++)
-                    ;
-                if (t == na)
-                    r->anchors[na++] = p;
             }
+            w = (a & 1) ? eu[e] : ev[e];
+            if (r->vdist[w] == 1)
+                r->ppar[k++] = w;
         }
-        if (reserve(&r->sbuf_u, &r->ucap, (size_t)(nsb + na), sizeof(int)) < 0 ||
-            reserve(&r->sbuf_f, &r->fcap, (size_t)(nsb + na), sizeof(int)) < 0)
-            return -1;
-        for (t = 0; t < na; t++) {
-            p = r->anchors[t];
-            r->sbuf_u[nsb] = p;
-            r->sbuf_f[nsb++] = f;
-            r->scnt[p]++;
-        }
+        r->pcnt[x] = k - r->poff[x];
+    }
+
+    /* sectors in two passes over the d2 edges: the first counts each
+       anchor's entries, the second writes them at the anchor's cursor,
+       so a sector lists its d2 edges in d2 order, each once */
+    for (i = 0; i < nd2; i++) {
+        na = anchors_of(r, r->td2[i]);
+        for (t = 0; t < na; t++)
+            r->scnt[r->anchors[t]]++;
+        nsb += na;
     }
     r->sect_sum_total += nsb;
     r->d2_total += nd2;
@@ -671,19 +669,17 @@ static int rec_c4free(Run *r)
     for (j = 0; j < nd01; j++) {
         e = fr[j];
         u = eu[e] == v ? ev[e] : eu[e];
-        r->utoslot[u] = j;
-        r->arena[off] = r->scnt[u];
-        r->jcur[j] = off + 1;
-        off += 1 + (size_t)r->scnt[u];
+        size_t cnt = r->scnt[u];
+        r->arena[off] = (int)cnt;
+        r->scnt[u] = off + 1; /* from now on the write cursor */
+        off += 1 + cnt;
     }
-    for (i = 0; i < nsb; i++)
-        r->arena[r->jcur[r->utoslot[r->sbuf_u[i]]]++] = r->sbuf_f[i];
-
-    /* reset the counting scratch before anything can reuse it */
-    for (i = 0; i < nl2; i++)
-        r->pcnt[r->lvl2[i]] = 0;
-    for (i = 0; i < nsb; i++)
-        r->scnt[r->sbuf_u[i]] = 0;
+    for (i = 0; i < nd2; i++) {
+        f = r->td2[i];
+        na = anchors_of(r, f);
+        for (t = 0; t < na; t++)
+            r->arena[r->scnt[r->anchors[t]]++] = f;
+    }
 
     /* 0-child: pivot star removed, pivot isolated */
     int mark = r->ulen;

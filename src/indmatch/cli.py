@@ -8,14 +8,7 @@ import sys
 
 from . import analysis, edgelist
 from .enumerate import ALGORITHMS, BACKENDS, CountingSink, EnumConfig, enumerate_solutions
-from .errors import (
-    BackendUnavailable,
-    IndmatchError,
-    InfeasibleSpec,
-    NotC4Free,
-    ParseError,
-    TooLargeForOracle,
-)
+from .errors import IndmatchError, NotC4Free, ParseError, TooLargeForOracle
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -24,6 +17,17 @@ EXIT_ORACLE_GUARD = 4
 # stdout was closed early (`indmatch enumerate G | head`): 128 + SIGPIPE,
 # the status a shell reports for a process killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
+
+# The errors every subcommand reports with one `error:` line instead of a
+# traceback: (class, exit status, message prefix), the first match wins.
+# Bad input, a file that cannot be opened, a spec that names no graph and
+# a backend that cannot run all exit 2.
+EXIT_STATUS = (
+    (NotC4Free, EXIT_NOT_C4FREE, "not C4-free: "),
+    (TooLargeForOracle, EXIT_ORACLE_GUARD, ""),
+    (IndmatchError, EXIT_PARSE, ""),
+    (OSError, EXIT_PARSE, ""),
+)
 
 
 def _read_text(path: str) -> str:
@@ -35,31 +39,20 @@ def _read_text(path: str) -> str:
             raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def _write_text(path: str, text: str) -> int:
-    """Writes text to stdout for `-`, else to the file at path; a file
-    that cannot be opened or written is an error with exit status 2."""
+def _write_output(path: str, make_text) -> int:
+    """Opens the output, stdout for `-`, and then writes the text that
+    make_text() returns, so a file that cannot be opened fails before
+    the work does."""
     if path == "-":
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
+        sys.stdout.write(make_text())
+    else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            fh.write(make_text())
     return EXIT_OK
 
 
-def _read_graph(path: str):
-    try:
-        return edgelist.parse_edge_list(_read_text(path))
-    except (OSError, IndmatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
 def cmd_enumerate(args) -> int:
-    g = _read_graph(args.input)
+    g = edgelist.parse_edge_list(_read_text(args.input))
     config = EnumConfig(
         algorithm=args.algo,
         assertion_mode=args.assert_mode,
@@ -73,39 +66,22 @@ def cmd_enumerate(args) -> int:
         # lines are UTF-8 bytes whatever the locale, written past the text layer
         out.flush()
         sink = edgelist.LineSink(g, out.buffer.write)
-    try:
-        total = enumerate_solutions(g, sink, config)
-        if args.count_only:
-            out.write(f"{total}\n")
-        out.flush()
-    except NotC4Free as exc:
-        print(f"error: not C4-free: {exc}", file=sys.stderr)
-        return EXIT_NOT_C4FREE
-    except TooLargeForOracle as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_GUARD
-    except BackendUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BrokenPipeError:
-        # The reader is gone: stop, and point stdout at devnull so the
-        # flush at interpreter exit stays quiet (Python docs, "Note on SIGPIPE").
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
+    total = enumerate_solutions(g, sink, config)
+    if args.count_only:
+        out.write(f"{total}\n")
+    out.flush()
     return EXIT_OK
 
 
-def _cutoff(text: str) -> int:
+def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"cutoff must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
 def cmd_check(args) -> int:
-    g = _read_graph(args.input)
+    g = edgelist.parse_edge_list(_read_text(args.input))
     c4 = str(analysis.is_c4_free(g)).lower()
     gg = analysis.girth(g)
     max_deg = max(g.degree, default=0)
@@ -118,12 +94,7 @@ def cmd_check(args) -> int:
 
 def cmd_gen(args) -> int:
     spec = analysis.GenSpec(family=args.family, n=args.n, m=args.m, seed=args.seed)
-    try:
-        g = analysis.generate(spec)
-    except IndmatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _write_text(args.output, edgelist.serialize_edge_list(g))
+    return _write_output(args.output, lambda: edgelist.serialize_edge_list(analysis.generate(spec)))
 
 
 def _parse_spec_file(text: str) -> list[analysis.GenSpec]:
@@ -152,23 +123,13 @@ def _parse_spec_file(text: str) -> list[analysis.GenSpec]:
 def cmd_bench(args) -> int:
     from . import stats  # only this subcommand runs the harness
 
-    try:
-        specs = _parse_spec_file(_read_text(args.spec_file))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    specs = _parse_spec_file(_read_text(args.spec_file))
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
-        print(f"error: unknown algorithm {unknown[0]!r}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        rows = stats.bench(specs, algos, cutoff=args.cutoff, repeats=args.repeats,
-                           backend=args.backend)
-    except (InfeasibleSpec, BackendUnavailable) as exc:  # a spec or backend that cannot run
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _write_text(args.output, stats.rows_to_csv(rows))
+        raise ParseError(f"unknown algorithm {unknown[0]!r}")
+    return _write_output(args.output, lambda: stats.rows_to_csv(stats.bench(
+        specs, algos, cutoff=args.cutoff, repeats=args.repeats, backend=args.backend)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("enumerate", help="stream all induced matchings of an edge-list file")
     pe.add_argument("input")
     pe.add_argument("--algo", choices=ALGORITHMS, default="auto")
-    pe.add_argument("--cutoff", type=_cutoff, default=None)
+    pe.add_argument("--cutoff", type=_at_least_one, default=None)
     pe.add_argument("--count-only", action="store_true")
     pe.add_argument("--assert", dest="assert_mode", action="store_true",
                     help="check the C4-free lemmas at every iteration under c4free, "
@@ -201,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="run the benchmark harness, write CSV")
     pb.add_argument("--spec-file", required=True)
     pb.add_argument("--algos", default="c4free")
-    pb.add_argument("--cutoff", type=_cutoff, default=None)
-    pb.add_argument("--repeats", type=int, default=3)
+    pb.add_argument("--cutoff", type=_at_least_one, default=None)
+    pb.add_argument("--repeats", type=_at_least_one, default=3)
     pb.add_argument("--backend", choices=BACKENDS, default="auto")
     pb.add_argument("output")
     pb.set_defaults(func=cmd_bench)
@@ -212,7 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader is gone: stop, and point stdout at devnull so the
+        # flush at interpreter exit stays quiet (Python docs, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except tuple(cls for cls, _, _ in EXIT_STATUS) as exc:
+        status, prefix = next((s, p) for cls, s, p in EXIT_STATUS if isinstance(exc, cls))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

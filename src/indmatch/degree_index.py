@@ -17,7 +17,7 @@ from .graph import DynamicGraph
 
 
 class DegreeIndex:
-    __slots__ = ("g", "cap", "bhead", "btail", "bnxt", "bprv", "bucket", "max_nonempty")
+    __slots__ = ("g", "cap", "bhead", "btail", "bnxt", "bprv", "max_nonempty")
 
     def __init__(self, g: DynamicGraph):
         self.g = g
@@ -29,7 +29,6 @@ class DegreeIndex:
         self.btail = [-1] * nb
         self.bnxt = [-1] * g.n
         self.bprv = [-1] * g.n
-        self.bucket = [-1] * g.n
         self.max_nonempty = -1
         for v in range(g.n):
             self._insert(v, g.degree[v])
@@ -46,12 +45,11 @@ class DegreeIndex:
         else:
             self.bnxt[t] = v
         self.btail[d] = v
-        self.bucket[v] = d
         if d > self.max_nonempty:
             self.max_nonempty = d
 
-    def _unlink(self, v: int) -> None:
-        d = self.bucket[v]
+    def _unlink(self, v: int, d: int) -> None:
+        """Takes v out of bucket d, the one it sits in."""
         p, n = self.bprv[v], self.bnxt[v]
         if p == -1:
             self.bhead[d] = n
@@ -61,14 +59,13 @@ class DegreeIndex:
             self.btail[d] = p
         else:
             self.bprv[n] = p
-        self.bucket[v] = -1
 
     # -- graph hooks --------------------------------------------------
 
     def on_degree_change(self, v: int, old: int, new: int) -> None:
         # A restore re-raises the cached maximum in the insert.  After a
         # removal v already sits in bucket `new`, so the scan stops there.
-        self._unlink(v)
+        self._unlink(v, old)
         self._insert(v, new)
         if new < old:
             while self.bhead[self.max_nonempty] == -1:
@@ -92,7 +89,6 @@ class DegreeIndex:
             while v != -1:
                 assert g.degree[v] == d, (v, d, g.degree[v])
                 assert self.bprv[v] == prev
-                assert self.bucket[v] == d
                 seen.add(v)
                 prev, v = v, self.bnxt[v]
             assert self.btail[d] == prev

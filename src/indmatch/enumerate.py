@@ -276,17 +276,18 @@ class _PartitionRun:
 def _run_python(g, sink, cutoff, assertion_mode, stats) -> int:
     prev_listener = g.listener
     run = _PartitionRun(g, sink, cutoff, assertion_mode, stats)
-    limit = 3 * g.m + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
+    prev_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(prev_limit, 3 * g.m + 1000))
     entry = g.mark()
     try:
         run.rec_c4free([], None)
     finally:
         # Unwind through the enumeration's own index, then hand the
-        # listener slot back; the graph is net-unchanged at this point.
+        # listener slot and the recursion limit back; the graph is
+        # net-unchanged at this point.
         g.rollback(entry)
         g.listener = prev_listener
+        sys.setrecursionlimit(prev_limit)
     return run.solutions
 
 

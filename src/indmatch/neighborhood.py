@@ -9,10 +9,14 @@ of four classes by its endpoint distances:
   d12  endpoints at distances 1 and 2
   d2   the remaining distance-2 edges (2-2 and 2-3)
 
-Sector sets (the d2 edges at distance 1 from a given pivot-incident
-edge) are derived from anchors stored during the sweep and are never
-recomputed after the graph mutates, since the enumerator needs them
-after the surrounding edges are already removed.
+The distance-1 ring is the far ends of the pivot-incident edges.  The
+parents of a distance-2 vertex (its neighbours at distance 1) come from
+the walk over its edges that finds the d2 edges: there they are the far
+ends of the edges already classified as 1-2.  Sector sets (the d2 edges
+at distance 1 from a given pivot-incident edge) are derived from these
+parents, the anchors of each d2 edge, and are never recomputed after
+the graph mutates, since the enumerator needs them after the
+surrounding edges are already removed.
 
 Distance labels use an epoch counter instead of clearing, keeping the
 cost of a classification proportional to the neighborhood it touches.
@@ -25,7 +29,7 @@ from .graph import DynamicGraph
 
 
 class PivotClassification:
-    __slots__ = ("g", "pivot", "d01", "d11", "d12", "d2", "dist2_incount", "sect_map", "_d01_set", "_star")
+    __slots__ = ("g", "pivot", "d01", "d11", "d12", "d2", "dist2_incount", "sect_map", "_star")
 
     def __init__(self, g, pivot, d01, d11, d12, d2, dist2_incount, sect_map, star):
         self.g = g
@@ -38,7 +42,6 @@ class PivotClassification:
         self.dist2_incount = dist2_incount
         # non-pivot endpoint of a 0-1 edge -> its sector (list of d2 edge ids)
         self.sect_map = sect_map
-        self._d01_set = set(d01)
         # edge id -> non-pivot endpoint, for d01 edges
         self._star = star
 
@@ -73,7 +76,6 @@ class Classifier:
         d12: list[int] = []
         d2: list[int] = []
         star: dict[int, int] = {}
-        level1: list[int] = []
         level2: list[int] = []
         parents: dict[int, list[int]] = {}
 
@@ -84,34 +86,29 @@ class Classifier:
             d01.append(e)
             star[e] = u
             emark[e] = ep
-            if vmark[u] != ep:
-                vmark[u] = ep
-                vdist[u] = 1
-                level1.append(u)
+            vmark[u] = ep
+            vdist[u] = 1
             a = nxt[a]
 
-        for u in level1:
+        for u in star.values():
             a = g.head[u]
             while a != -1:
                 e = a >> 1
                 if emark[e] != ep:
                     emark[e] = ep
                     w = ev[e] if a & 1 == 0 else eu[e]
-                    if vmark[w] == ep:
-                        if vdist[w] == 1:
-                            d11.append(e)
-                        else:  # vdist[w] == 2, discovered from an earlier u
-                            d12.append(e)
-                            parents[w].append(u)
-                    else:
+                    if vmark[w] != ep:
                         vmark[w] = ep
                         vdist[w] = 2
                         level2.append(w)
+                    if vdist[w] == 1:
+                        d11.append(e)
+                    else:
                         d12.append(e)
-                        parents[w] = [u]
                 a = nxt[a]
 
         for x in level2:
+            parents[x] = px = []
             a = g.head[x]
             while a != -1:
                 e = a >> 1
@@ -120,6 +117,11 @@ class Classifier:
                     # edge toward distance 1 was marked in the previous pass.
                     emark[e] = ep
                     d2.append(e)
+                else:
+                    # a 1-2 edge, or a d2 edge found from an earlier x
+                    w = ev[e] if a & 1 == 0 else eu[e]
+                    if vdist[w] == 1:
+                        px.append(w)
                 a = nxt[a]
 
         sect_map: dict[int, list[int]] = {}
@@ -139,7 +141,7 @@ class Classifier:
 
 def sect2(c: PivotClassification, e: int) -> list[int]:
     """The d2 edges at distance exactly 1 from the pivot-incident edge e."""
-    if e not in c._d01_set:
+    if e not in c._star:
         raise EdgeNotInPivotStar(f"edge {e} is not a 0-1 edge of pivot {c.pivot}")
     return c.sect_map.get(c._star[e], [])
 

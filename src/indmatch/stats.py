@@ -134,9 +134,11 @@ def bench(
     """Generate each spec, time each algorithm, report the median run.
 
     Each (spec, algorithm) pair is warmed up once and then timed
-    `repeats` times with a counting sink honoring `cutoff`; rows come
-    out in input order.
+    `repeats` times, at least once, with a counting sink honoring
+    `cutoff`; rows come out in input order.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     rows: list[BenchRow] = []
     for spec in specs:
         g = generate(spec)
@@ -144,7 +146,7 @@ def bench(
             config = EnumConfig(algorithm=algo, solution_cutoff=cutoff, backend=backend)
             enumerate_with_stats(g, config)  # warm-up
             times = []
-            for _ in range(max(1, repeats)):
+            for _ in range(repeats):
                 sink = CountingSink()
                 t0 = time.perf_counter_ns()
                 count, stats = enumerate_with_stats(g, config, sink)

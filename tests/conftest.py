@@ -39,6 +39,24 @@ def complete_graph(k):
     return DynamicGraph(k, list(itertools.combinations(range(k), 2)))
 
 
+def complete_bipartite_graph(a, b):
+    """K_{a,b}: sides 0..a-1 and a..a+b-1."""
+    return DynamicGraph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def grid_graph(w, h):
+    """The w x h grid, vertex x*h + y at (x, y)."""
+    edges = [(x * h + y, (x + 1) * h + y) for x in range(w - 1) for y in range(h)]
+    edges += [(x * h + y, x * h + y + 1) for x in range(w) for y in range(h - 1)]
+    return DynamicGraph(w * h, edges)
+
+
+def hypercube_graph(d):
+    """The d-cube: vertices 0..2^d-1, adjacent when they differ in one bit."""
+    return DynamicGraph(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d)
+                                 if not v >> i & 1])
+
+
 def two_paths_graph(k):
     """Two disjoint copies of P_k."""
     edges = [(i, i + 1) for i in range(k - 1)]

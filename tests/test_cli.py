@@ -93,9 +93,7 @@ class TestEnumerate:
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "a b c\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", path])
-        assert exc.value.code == EXIT_PARSE
+        assert main(["enumerate", path]) == EXIT_PARSE
 
     @pytest.mark.parametrize("text, message", [
         ("a b\n\nb c c\n", "error: line 3: expected two labels, got 3\n"),
@@ -105,9 +103,7 @@ class TestEnumerate:
     def test_bad_input_message(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "bad.txt", text)
         for command in (["enumerate"], ["check"]):
-            with pytest.raises(SystemExit) as exc:
-                main([*command, path])
-            assert exc.value.code == EXIT_PARSE
+            assert main([*command, path]) == EXIT_PARSE
             assert capsys.readouterr() == ("", message)
 
     def test_lines_are_utf8_whatever_the_locale(self, tmp_path):
@@ -131,9 +127,7 @@ class TestEnumerate:
         path = tmp_path / "latin.txt"
         path.write_bytes(b"\xff\xfe a b\n")
         for command in (["enumerate"], ["check"]):
-            with pytest.raises(SystemExit) as exc:
-                main([*command, str(path)])
-            assert exc.value.code == EXIT_PARSE
+            assert main([*command, str(path)]) == EXIT_PARSE
             assert capsys.readouterr() == ("", f"error: {path} is not UTF-8 text (invalid start byte)\n")
 
     @pytest.mark.parametrize("backend", ["python", "auto"])
@@ -216,11 +210,30 @@ class TestBench:
         assert capsys.readouterr() == (
             "", "error: native backend requested but indmatch._fastcore is not built\n")
 
-    def test_output_that_cannot_be_opened(self, tmp_path, capsys):
+    def test_output_that_cannot_be_opened(self, tmp_path, capsys, monkeypatch):
+        # the output is opened before the first run, so nothing runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("the benchmark ran")
+
+        monkeypatch.setattr("indmatch.stats.bench", no_run)
         specs = write(tmp_path, "specs.txt", "cycle 8 0\n")
         out = tmp_path / "missing" / "bench.csv"
         assert main(["bench", "--spec-file", specs, "--repeats", "1", str(out)]) == EXIT_PARSE
         assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_brute_guard_exit_code(self, tmp_path, capsys):
+        # path 30 has 29 edges, beyond the oracle's 25, as `enumerate --algo brute` reports
+        specs = write(tmp_path, "specs.txt", "path 30 0\n")
+        assert main(["bench", "--spec-file", specs, "--algos", "brute", "-"]) == EXIT_ORACLE_GUARD
+        assert capsys.readouterr() == ("", "error: 29 live edges exceeds the 25-edge oracle guard\n")
+
+    @pytest.mark.parametrize("option", ["--repeats", "--cutoff"])
+    def test_counts_below_one(self, tmp_path, capsys, option):
+        specs = write(tmp_path, "specs.txt", "cycle 8 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--spec-file", specs, option, "0", "-"])
+        assert exc.value.code == EXIT_PARSE
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: must be at least 1, got 0\n")
 
     def test_spec_file_that_is_not_utf8(self, tmp_path, capsys):
         specs = tmp_path / "specs.txt"

@@ -2,6 +2,7 @@
 cutoffs, and pure-Python vs compiled backend parity."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from indmatch import (
     CountingSink,
     DynamicGraph,
     EnumConfig,
+    GenSpec,
     ListSink,
     count_induced_matchings,
     enumerate_brute,
     enumerate_c4free,
     enumerate_general,
     enumerate_solutions,
+    generate,
     is_c4_free,
     is_induced_matching,
     native_available,
@@ -27,8 +30,14 @@ from indmatch.stats import enumerate_with_stats
 
 from conftest import (
     brute_set,
+    complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
+    double_star_graph,
+    friendship_graph,
     graph_state,
+    grid_graph,
+    hypercube_graph,
     path_graph,
     random_graph,
     star_graph,
@@ -72,6 +81,29 @@ def stream_and_stats(g, algo, backend, cutoff=None):
     config = EnumConfig(algorithm=algo, backend=backend, solution_cutoff=cutoff)
     _, stats = enumerate_with_stats(g, config, sink)
     return sink.solutions, stats
+
+
+def parity_graphs(rng):
+    """(name, graph) pairs the backends must agree on: random graphs, some
+    with edges removed before the run; graphs whose distance-2 vertices
+    have several parents and whose d2 edges have several anchors; sparse
+    girth-5 graphs; and hubs, whose pivot stars are most of the graph."""
+    graphs = [(f"random {i}", random_graph(rng)) for i in range(60)]
+    graphs += [(f"random n<=12 {i}", random_graph(rng, n_max=12, m_max=20)) for i in range(60)]
+    for i in range(30):
+        g = random_graph(rng, n_max=12, m_max=20)
+        for e in rng.sample(range(g.m), g.m * 15 // 100):
+            g.remove_edge(e)
+        graphs.append((f"pre-removed {i}", g))
+    graphs += [(f"K{a},{b}", complete_bipartite_graph(a, b)) for a, b in ((2, 5), (3, 3), (4, 4))]
+    graphs += [(f"K{k}", complete_graph(k)) for k in (5, 6, 7)]
+    graphs += [("grid 4x4", grid_graph(4, 4)), ("4-cube", hypercube_graph(4))]
+    graphs += [(f"randomgirth5 n={n} seed {s}",
+                generate(GenSpec(family="randomgirth5", n=n, m=int(1.2 * n), seed=s)))
+               for n in (16, 24, 32) for s in range(2)]
+    graphs += [(f"{hub.__name__}({k})", hub(k))
+               for hub in (star_graph, double_star_graph, friendship_graph) for k in (2, 5, 8, 11)]
+    return graphs
 
 
 def delivered(g, algo, backend, kind, cutoff=None, sink_cutoff=None):
@@ -156,11 +188,12 @@ class TestBackendParity:
     @pytest.mark.skipif(not native_available(), reason="compiled core not built")
     @pytest.mark.parametrize("algo", ["general", "c4free"])
     def test_identical_streams(self, algo, rng):
-        for _ in range(60):
-            g = random_graph(rng)
+        for name, g in parity_graphs(rng):
             if algo == "c4free" and not is_c4_free(g):
                 continue
-            assert stream_and_stats(g, algo, "python") == stream_and_stats(g, algo, "native")
+            for cutoff in (None, 5, 500):
+                python = stream_and_stats(g, algo, "python", cutoff)
+                assert python == stream_and_stats(g, algo, "native", cutoff), (name, cutoff)
 
     @pytest.mark.skipif(not native_available(), reason="compiled core not built")
     @pytest.mark.parametrize("cutoff", [1, 3, 7])
@@ -269,6 +302,20 @@ class TestEntryStateAndPreRemoval:
         assert graph_state(g) == before
         solutions_of(g, algo, backend, cutoff=3)  # aborted run
         assert graph_state(g) == before
+
+    def test_python_run_restores_the_recursion_limit(self):
+        # the engine raises the limit to 3m + 1000 for its own run only
+        before = sys.getrecursionlimit()
+        g = path_graph(before)
+        assert count_induced_matchings(g, EnumConfig(backend="python", solution_cutoff=10)) == 10
+        assert sys.getrecursionlimit() == before
+
+        def failing(solution):
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            enumerate_solutions(g, failing, EnumConfig(backend="python"))
+        assert sys.getrecursionlimit() == before
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algo", ["general", "c4free"])

@@ -1,8 +1,10 @@
-"""The native kernel builds from source with warnings as errors, and the
-build gives the same solution streams and counters as the Python engines,
-the same parsed graphs as the Python reference, the same CLI output
-bytes, rejects bad arguments, and stops on Ctrl-C.  The suite's native-parametrised
-tests, which skip without a compiled core, run against the build too.
+"""The native kernel builds from source with warnings as errors and a
+bounded recursion frame, and the build gives the same parsed graphs as
+the Python reference, the same CLI output bytes, rejects bad arguments,
+and stops on Ctrl-C.  The suite's native-parametrised tests, which skip
+without a compiled core, run against the build too: among them the
+backend parity tests, which pin the build's solution streams and
+counters to the Python engine's.
 
 The extension is compiled once by the project's own `setup.py` into a
 temporary directory, next to a copy of the package's Python files, and
@@ -33,49 +35,9 @@ def compiler():
 
 CHECK = r"""
 import random
-from indmatch import DynamicGraph, EnumConfig, GenSpec, ListSink, generate, is_c4_free
-from indmatch import native_available
-from indmatch.stats import enumerate_with_stats
+from indmatch import GenSpec, generate, native_available
 
 assert native_available()
-
-def run(g, algo, backend, cutoff):
-    sink = ListSink()
-    config = EnumConfig(algorithm=algo, backend=backend, solution_cutoff=cutoff)
-    _, stats = enumerate_with_stats(g, config, sink)
-    return sink.solutions, stats
-
-rng = random.Random(7)
-graphs = []
-for _ in range(60):
-    n = rng.randint(1, 12)
-    pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    graphs.append(DynamicGraph(n, rng.sample(pool, rng.randint(0, min(len(pool), 20)))))
-graphs += [generate(GenSpec(family="randomgirth5", n=n, m=int(1.2 * n), seed=s))
-           for n in (16, 24, 32) for s in range(2)]
-
-# hubs: a star, two joined stars, triangles sharing a vertex (all C4-free)
-def star(n):
-    return DynamicGraph(n, [(0, i) for i in range(1, n)])
-
-def double_star(n):
-    return DynamicGraph(n, [(0, 1)] + [(0, i) for i in range(2, n // 2)]
-                        + [(1, i) for i in range(max(2, n // 2), n)])
-
-def friendship(n):
-    t = (n - 1) // 2
-    return DynamicGraph(2 * t + 1, [e for i in range(t) for e in
-                                    ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
-
-HUBS = (star, double_star, friendship)
-graphs += [hub(n) for hub in HUBS for n in (2, 5, 8, 11)]
-runs = 0
-for g in graphs:
-    for algo in ["general"] + (["c4free"] if is_c4_free(g) else []):
-        for cutoff in (None, 5, 500):
-            assert run(g, algo, "python", cutoff) == run(g, algo, "native", cutoff), (algo, cutoff)
-            runs += 1
-print(runs, "runs identical")
 
 # bad arguments to run(): each raises its own exception and message
 from indmatch import _fastcore
@@ -111,6 +73,7 @@ from indmatch import parse_edge_list, serialize_edge_list
 from indmatch.edgelist import parse_edge_list_python
 from indmatch.errors import DuplicateEdge, ParseError, SelfLoop
 
+rng = random.Random(7)
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 SPACES = [" ", "\t", "\x1f", "\xa0", "\u1680", *map(chr, range(0x2000, 0x200b)), "\u202f",
           "\u205f", "\u3000"]
@@ -273,7 +236,7 @@ def built(tmp_path_factory):
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib),
          "--build-temp", str(tmp / "temp")],
-        cwd=ROOT, env=dict(os.environ, CFLAGS="-Wall -Wextra -Werror"),
+        cwd=ROOT, env=dict(os.environ, CFLAGS="-Wall -Wextra -Werror -fstack-usage"),
         capture_output=True, text=True, timeout=300,
     )
     # optional=True turns a failed compile into a warning, so look for the module
@@ -282,6 +245,23 @@ def built(tmp_path_factory):
     for source in PACKAGE.glob("*.py"):
         shutil.copy(source, lib / "indmatch")
     return lib
+
+
+# bytes of rec_c4free's stack frame: the native recursion stacks one per
+# level, so each byte lowers the depth at which a long path overflows the
+# C stack
+FRAME_LIMIT = 160
+
+
+def test_recursion_frame_is_bounded(built):
+    # gcc's -fstack-usage writes `file:line:column:function<TAB>bytes<TAB>kind`
+    # next to the object file, in the build's temporary directory
+    usage = built.parent / "temp" / "src" / "indmatch" / "_fastcore.su"
+    if not usage.exists():
+        pytest.skip("the compiler wrote no stack-usage file")
+    rows = [line.split("\t") for line in usage.read_text().splitlines()]
+    frames = [int(row[1]) for row in rows if row[0].rsplit(":", 1)[1].split(".")[0] == "rec_c4free"]
+    assert frames and max(frames) <= FRAME_LIMIT, frames
 
 
 def run_check(lib, script, cwd):
@@ -294,7 +274,6 @@ def run_check(lib, script, cwd):
 def test_kernel_builds_cleanly_and_matches_python(built, tmp_path):
     check = run_check(built, CHECK, tmp_path)
     assert check.returncode == 0, check.stdout + check.stderr
-    assert "runs identical" in check.stdout
     assert "argument errors pinned" in check.stdout
     assert "parses identical" in check.stdout
 

@@ -115,6 +115,11 @@ class TestBench:
         assert rows[0].cutoff_applied
         assert rows[0].csv_line().endswith("true")
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_are_rejected(self, repeats):
+        with pytest.raises(ValueError, match=f"repeats must be at least 1, got {repeats}"):
+            bench([GenSpec(family="cycle", n=8)], ["c4free"], repeats=repeats)
+
     @pytest.mark.skipif(not native_available(), reason="compiled core not built")
     def test_backends_report_identical_counts(self):
         spec = GenSpec(family="randomgirth5", n=24, m=28, seed=1)
